@@ -5,13 +5,12 @@
 //!
 //! Before PR 9 each binary carried its own ad-hoc copies of these helpers
 //! (`arg_u64_or` here, `try_arg_list` there, subtly different error
-//! strings). The old free functions in [`crate::experiments`] remain as
-//! deprecated delegates; new code uses this module.
+//! strings).
 //!
 //! Two calling styles, one error format:
 //!
 //! * `Result`-returning cores ([`opt_parsed`], [`parsed_or`], [`opt_u64`],
-//!   [`u64_or`], [`f64_or`], [`opt_list`]) for callers that surface errors
+//!   [`u64_or`], [`opt_list`]) for callers that surface errors
 //!   themselves (the `safedm-sim` subcommands);
 //! * [`or_exit`] / [`list_or_exit`] / [`jobs`] wrappers for binaries whose
 //!   contract is "print `error: …` and exit 2".
@@ -106,18 +105,6 @@ pub fn u64_or(args: &[String], flag: &str, default: u64) -> Result<u64, String> 
     opt_u64(args, flag).map(|v| v.unwrap_or(default))
 }
 
-/// `--flag F` as a float with a default.
-///
-/// # Errors
-///
-/// Returns the [`invalid`] message when the value does not parse.
-pub fn f64_or(args: &[String], flag: &str, default: f64) -> Result<f64, String> {
-    match value(args, flag) {
-        None => Ok(default),
-        Some(v) => v.trim().parse().map_err(|_| invalid(flag, &v, "a number")),
-    }
-}
-
 /// Parses the value of `--flag` as a comma-separated list of `T`. Empty
 /// entries (stray commas, whitespace) are skipped; `Ok(None)` when absent.
 ///
@@ -202,8 +189,6 @@ mod tests {
         let err = opt_parsed::<u64>(&a, "--runs").unwrap_err();
         assert_eq!(err, invalid("--runs", "x", "a number"));
         let err = u64_or(&a, "--runs", 1).unwrap_err();
-        assert_eq!(err, invalid("--runs", "x", "a number"));
-        let err = f64_or(&a, "--runs", 1.0).unwrap_err();
         assert_eq!(err, invalid("--runs", "x", "a number"));
     }
 

@@ -239,8 +239,8 @@ fn main() {
     println!("warm/cold throughput: {speedup:.1}x (acceptance floor 5x)");
 
     if let Some(path) = &json_out {
-        // A `safedm-bench/1` baseline document, so the serve metrics ride
-        // the same trend/regression tooling as the simulator benches.
+        // The serve metrics as a `safedm-bench/1` document: per metric its
+        // value, unit and better direction.
         let mut sorted = warm.latencies.clone();
         sorted.sort();
         let doc = format!(

@@ -7,20 +7,18 @@
 //! EXPERIMENTS.md, "Parallel campaigns").
 //!
 //! Usage: `cargo run -p safedm-bench --bin table1 --release [--quick]
-//! [--jobs N] [--root-seed S] [--engine cycle|fast|hybrid] [--profile]
+//! [--jobs N] [--root-seed S] [--engine cycle|fast] [--profile]
 //! [--json PATH] [--metrics-out PATH] [--events-out PATH] [--events-timing]
 //! [--progress]`
 //!
-//! `--engine hybrid` runs guarded regions on the cycle-accurate model (the
-//! conservative fast-path default), so its table is byte-identical to
-//! `--engine cycle`; `--engine fast` reports the block-compiled engine's
-//! functional proxies instead (orders of magnitude faster, not
+//! `--engine fast` reports the block-compiled engine's functional proxies
+//! instead of the cycle-accurate verdicts (orders of magnitude faster, not
 //! paper-grade — see DESIGN.md §10).
 
 use safedm_bench::args;
 use safedm_bench::experiments::{
     render_table1, summarize_table1, table1_cells, table1_events, table1_metrics,
-    table1_rows_from_runs, table1_run_cells_engine, write_metrics_json, Telemetry, TABLE1_NOPS,
+    table1_rows_from_runs, table1_run_cells, write_metrics_json, Telemetry, TABLE1_NOPS,
 };
 use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_core::SafeDmConfig;
@@ -79,7 +77,7 @@ fn main() {
     let cells = table1_cells(&selected, spec.root_seed);
     let progress = telemetry.progress_for(cells.len());
     let (runs, timings) =
-        table1_run_cells_engine(&cells, SafeDmConfig::default(), jobs, Some(&progress), engine);
+        table1_run_cells(&cells, SafeDmConfig::default(), jobs, Some(&progress), engine);
     progress.finish();
     let mut prof = SelfProfiler::new();
     prof.record("campaign.total", t.elapsed());

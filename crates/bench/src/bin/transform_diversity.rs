@@ -16,14 +16,12 @@
 //! stdout is byte-identical for any `--jobs N`.
 //!
 //! Usage: `cargo run -p safedm-bench --bin transform_diversity --release
-//! [--quick] [--jobs N] [--max-cycles N] [--seed S] [--engine cycle|hybrid]
+//! [--quick] [--jobs N] [--max-cycles N] [--seed S]
 //! [--events-out PATH] [--events-timing] [--progress]`
 //!
-//! Every cell here *is* a monitor machine-check, so the whole run sits in
-//! a monitor-relevant window: `--engine hybrid` stays on the cycle-accurate
-//! model throughout (its conservative guarded-region rule) and produces
-//! byte-identical output; `--engine fast` has no monitor probes to check
-//! against and is rejected.
+//! Every cell here *is* a monitor machine-check, so it always runs on the
+//! cycle-accurate engine (the fast engine has no monitor probes to check
+//! against).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -37,7 +35,7 @@ use safedm_campaign::ConfigGrid;
 use safedm_core::{MonitoredSoc, SafeDmConfig};
 use safedm_isa::Reg;
 use safedm_obs::events::CellEvent;
-use safedm_soc::{Engine, SocConfig};
+use safedm_soc::SocConfig;
 use safedm_tacle::{
     build_kernel_program, build_twin_program, kernels, HarnessConfig, Kernel, StaggerConfig,
     TwinConfig,
@@ -191,25 +189,6 @@ fn main() -> ExitCode {
     let telemetry = Telemetry::from_args(&args);
     let max_cycles = args::or_exit(args::parsed_or::<u64>(&args, "--max-cycles", 20_000_000));
     let seed = args::or_exit(args::parsed_or::<u64>(&args, "--seed", 0x5afe_d1f0));
-    let engine = match args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map_or(Ok(Engine::Cycle), |v| Engine::parse(v))
-    {
-        Ok(Engine::Fast) => {
-            eprintln!(
-                "transform_diversity: --engine fast has no monitor probes to machine-check; \
-                 use cycle or hybrid"
-            );
-            return ExitCode::FAILURE;
-        }
-        Ok(e) => e,
-        Err(msg) => {
-            eprintln!("transform_diversity: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
 
     let targets: Vec<&'static Kernel> = if quick {
         ["fac", "bitcount", "insertsort"]
@@ -259,7 +238,7 @@ fn main() -> ExitCode {
             index,
             kernel: cell.kernel.name.to_owned(),
             config: cell.stagger.name(),
-            engine: engine.as_str().to_owned(),
+            engine: "cycle".to_owned(),
             run: 0,
             seed: cell.seed,
             cycles: r.cycles,

@@ -11,7 +11,7 @@ use safedm_core::{IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
 use safedm_isa::Reg;
 use safedm_obs::events::{CellEvent, Timing};
 use safedm_obs::{MetricsRegistry, MetricsSnapshot, SelfProfiler};
-use safedm_soc::fastpath::{Engine, ExecMode, FastTwin};
+use safedm_soc::fastpath::{Engine, FastTwin};
 use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, HarnessConfig, Kernel, StackMode, StaggerConfig};
 
@@ -163,9 +163,8 @@ pub fn run_fast_prebuilt(
     prog: &safedm_asm::Program,
     stagger: Option<StaggerConfig>,
     seed: u64,
-    mode: ExecMode,
 ) -> KernelRunSummary {
-    let mut twin = FastTwin::new(mode);
+    let mut twin = FastTwin::new();
     twin.load_program(prog);
     let out = twin.run(RUN_BUDGET);
     assert!(!out.timed_out, "{}: fast run exceeded budget", kernel.name);
@@ -188,15 +187,9 @@ pub fn run_fast_prebuilt(
     }
 }
 
-/// One kernel run on the selected engine.
-///
-/// [`Engine::Hybrid`] delegates to the cycle-accurate path: a monitored
-/// kernel run is one guarded region end to end (observation starts at the
-/// first commit and ends at the first halt), and hybrid's conservative
-/// default runs guarded regions on the cycle model — so its monitor
-/// verdicts are byte-identical to [`Engine::Cycle`] by construction.
-/// [`Engine::Fast`] trades monitor fidelity for throughput via
-/// [`run_fast_prebuilt`].
+/// One kernel run on the selected engine: [`Engine::Cycle`] is the
+/// monitored [`run_monitored_prebuilt`]; [`Engine::Fast`] trades monitor
+/// fidelity for throughput via [`run_fast_prebuilt`].
 ///
 /// # Panics
 ///
@@ -211,10 +204,8 @@ pub fn run_engine_prebuilt(
     dm_cfg: SafeDmConfig,
 ) -> KernelRunSummary {
     match engine {
-        Engine::Cycle | Engine::Hybrid => {
-            run_monitored_prebuilt(kernel, prog, stagger, seed, dm_cfg)
-        }
-        Engine::Fast => run_fast_prebuilt(kernel, prog, stagger, seed, ExecMode::Fast),
+        Engine::Cycle => run_monitored_prebuilt(kernel, prog, stagger, seed, dm_cfg),
+        Engine::Fast => run_fast_prebuilt(kernel, prog, stagger, seed),
     }
 }
 
@@ -326,8 +317,11 @@ pub fn table1_cells<'k>(kernels: &[&'k Kernel], root_seed: Option<u64>) -> Vec<T
     cells
 }
 
-/// Folds per-cell run summaries (in cell order) back into Table I rows.
-fn table1_fold(
+/// Folds per-cell run summaries (in cell order) back into Table I rows
+/// (the fold behind [`table1_with_jobs`], public for callers that also
+/// want the per-cell summaries).
+#[must_use]
+pub fn table1_rows_from_runs(
     kernels: &[&Kernel],
     cells: &[Table1CellRun],
     runs: &[KernelRunSummary],
@@ -385,7 +379,7 @@ pub fn table1_with_jobs(
 ) -> Vec<Table1Row> {
     let cells = table1_cells(kernels, root_seed);
     let campaign_start = std::time::Instant::now();
-    let (runs, timings) = table1_run_cells(&cells, dm_cfg, jobs, None);
+    let (runs, timings) = table1_run_cells(&cells, dm_cfg, jobs, None, Engine::Cycle);
     if let Some(prof) = prof {
         prof.record("campaign.total", campaign_start.elapsed());
         for (cell, t) in cells.iter().zip(&timings) {
@@ -393,26 +387,16 @@ pub fn table1_with_jobs(
             prof.record(&format!("cell.{}.nops{nops}.run{}", cell.kernel.name, cell.run), *t);
         }
     }
-    table1_fold(kernels, &cells, &runs)
+    table1_rows_from_runs(kernels, &cells, &runs)
 }
 
-/// Executes Table I campaign cells on `jobs` workers, reporting each
-/// completion to `progress` (stderr only — outputs stay deterministic) and
-/// returning run summaries plus per-cell wall-clock, both in cell order.
+/// Executes Table I campaign cells on `jobs` workers and the selected
+/// engine (see [`run_engine_prebuilt`] for what each engine means for the
+/// counters), reporting each completion to `progress` (stderr only —
+/// outputs stay deterministic) and returning run summaries plus per-cell
+/// wall-clock, both in cell order.
 #[must_use]
 pub fn table1_run_cells(
-    cells: &[Table1CellRun],
-    dm_cfg: SafeDmConfig,
-    jobs: usize,
-    progress: Option<&Progress>,
-) -> (Vec<KernelRunSummary>, Vec<Duration>) {
-    table1_run_cells_engine(cells, dm_cfg, jobs, progress, Engine::Cycle)
-}
-
-/// [`table1_run_cells`] on the selected engine (see
-/// [`run_engine_prebuilt`] for what each engine means for the counters).
-#[must_use]
-pub fn table1_run_cells_engine(
     cells: &[Table1CellRun],
     dm_cfg: SafeDmConfig,
     jobs: usize,
@@ -431,18 +415,6 @@ pub fn table1_run_cells_engine(
             }
         },
     )
-}
-
-/// Folds Table I campaign output into rows (the shared fold behind
-/// [`table1_with_jobs`], exposed for callers that also want the per-cell
-/// summaries).
-#[must_use]
-pub fn table1_rows_from_runs(
-    kernels: &[&Kernel],
-    cells: &[Table1CellRun],
-    runs: &[KernelRunSummary],
-) -> Vec<Table1Row> {
-    table1_fold(kernels, cells, runs)
 }
 
 /// Builds the telemetry event stream for a Table I-protocol campaign: one
@@ -664,85 +636,6 @@ pub fn dm_config_with_layout(layout: IsLayout) -> SafeDmConfig {
     SafeDmConfig { is_layout: layout, ..SafeDmConfig::default() }
 }
 
-/// Parses `--flag value`-style arguments (tiny helper; no external CLI
-/// crate).
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::value` instead")]
-#[must_use]
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    crate::args::value(args, flag)
-}
-
-/// Whether a bare `--flag` is present.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::flag` instead")]
-#[must_use]
-pub fn arg_flag(args: &[String], flag: &str) -> bool {
-    crate::args::flag(args, flag)
-}
-
-/// Parses the value of `--flag` as a `T`, distinguishing "absent" from
-/// "present but invalid".
-///
-/// # Errors
-///
-/// Returns `Err` with a `"invalid value for FLAG"` message when the flag is
-/// present but its value does not parse.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::opt_parsed` instead")]
-pub fn try_arg_parsed<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<T>, String> {
-    crate::args::opt_parsed(args, flag)
-}
-
-/// `--flag` parsed with a default, exiting with a helpful diagnostic
-/// instead of panicking on an invalid value.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `safedm_bench::args::or_exit(args::parsed_or(..))` instead"
-)]
-pub fn arg_parsed_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    crate::args::or_exit(crate::args::parsed_or(args, flag, default))
-}
-
-/// Parses the value of `--flag` as a comma-separated list of `T`,
-/// distinguishing "absent" from "present but invalid". Empty entries
-/// (stray commas, whitespace) are skipped.
-///
-/// # Errors
-///
-/// Returns `Err` with an `"invalid value for FLAG"` message naming the
-/// first entry that does not parse.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::opt_list` instead")]
-pub fn try_arg_list<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<Vec<T>>, String> {
-    crate::args::opt_list(args, flag)
-}
-
-/// Comma-separated `--flag` list exiting with a diagnostic on invalid
-/// values; `None` when the flag is absent (callers pick their own default).
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::list_or_exit` instead")]
-#[must_use]
-pub fn arg_list_or_exit<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<Vec<T>> {
-    crate::args::list_or_exit(args, flag)
-}
-
-/// Writes `contents` to `path`, exiting with a diagnostic on I/O failure.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::write_file_or_exit` instead")]
-pub fn write_file_or_exit(path: &str, contents: &str) {
-    crate::args::write_file_or_exit(path, contents);
-}
-
-/// Resolves `--jobs` for a bench binary: the machine's available
-/// parallelism when absent, a positive integer otherwise; exits with a
-/// helpful diagnostic on invalid values.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::jobs` instead")]
-#[must_use]
-pub fn jobs_from_args(args: &[String]) -> usize {
-    crate::args::jobs(args)
-}
-
 /// The shared telemetry CLI surface: `--events-out FILE` (per-cell event
 /// JSONL), `--events-timing` (keep wall-clock in the stream, forfeiting
 /// byte-identity across runs) and `--progress` (live stderr status line).
@@ -943,33 +836,6 @@ mod tests {
     use super::*;
     use safedm_tacle::kernels;
 
-    // The deprecated free functions must stay behaviour-identical to their
-    // `crate::args` replacements until they are removed.
-    #[allow(deprecated)]
-    #[test]
-    fn deprecated_arg_helpers_delegate_to_args() {
-        let args: Vec<String> =
-            ["prog", "--json", "out.json", "--quick"].iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(arg_value(&args, "--json"), crate::args::value(&args, "--json"));
-        assert_eq!(arg_value(&args, "--missing"), None);
-        assert!(arg_flag(&args, "--quick"));
-        assert!(!arg_flag(&args, "--slow"));
-        // flag at the end with no value
-        assert_eq!(arg_value(&args, "--quick"), None);
-        let lists: Vec<String> =
-            ["prog", "--staggers", "0, 100,,1000"].iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(
-            try_arg_list::<u64>(&lists, "--staggers"),
-            crate::args::opt_list::<u64>(&lists, "--staggers")
-        );
-        let bad: Vec<String> =
-            ["prog", "--staggers", "0,ten"].iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(
-            try_arg_list::<u64>(&bad, "--staggers").unwrap_err(),
-            crate::args::opt_list::<u64>(&bad, "--staggers").unwrap_err()
-        );
-    }
-
     #[test]
     fn telemetry_flags_parse_and_pick_timing() {
         let args: Vec<String> = ["prog", "--events-out", "ev.jsonl", "--progress"]
@@ -991,7 +857,8 @@ mod tests {
     fn table1_events_carry_run_counters() {
         let k = kernels::by_name("fac").expect("kernel");
         let cells = table1_cells(&[k], Some(7));
-        let (runs, timings) = table1_run_cells(&cells, SafeDmConfig::default(), 1, None);
+        let (runs, timings) =
+            table1_run_cells(&cells, SafeDmConfig::default(), 1, None, Engine::Cycle);
         let events = table1_events(&cells, &runs, &timings, Engine::Cycle);
         assert_eq!(events.len(), cells.len());
         assert_eq!(events[0].kernel, "fac");

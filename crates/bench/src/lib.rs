@@ -1,7 +1,7 @@
 //! # safedm-bench — experiment harness
 //!
 //! Shared plumbing for the table/figure regeneration binaries (see
-//! `src/bin/`) and the Criterion microbenchmarks (see `benches/`).
+//! `src/bin/`), the campaign service and its HTTP front end.
 
 #![warn(missing_docs)]
 

@@ -41,7 +41,7 @@ use safedm_core::{regs, MonitoredSoc, ReportMode, SafeDmConfig};
 use safedm_faults::{Campaign, CampaignConfig};
 use safedm_isa::Reg;
 use safedm_obs::events::{CellEvent, Timing};
-use safedm_soc::fastpath::{Engine, ExecMode, FastTwin};
+use safedm_soc::fastpath::{Engine, FastTwin};
 use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, kernels, HarnessConfig, Kernel, StaggerConfig};
 
@@ -144,7 +144,7 @@ pub fn prepare(spec: &CampaignSpec) -> Result<Prepared, String> {
     let cells = match spec.protocol {
         Protocol::Grid => prepare_grid(spec, &ks, engine)?,
         Protocol::Table1 => prepare_table1(spec, &ks, engine),
-        Protocol::Ccf => prepare_ccf(spec, &ks),
+        Protocol::Ccf => prepare_ccf(spec, &ks, engine),
     };
     Ok(Prepared { spec: spec.clone(), engine, jobs, cells })
 }
@@ -197,12 +197,11 @@ fn prepare_grid(
                 config: format!("nops={}", cell.stagger),
                 run: cell.run as u64,
                 seed: cell.seed,
-                engine: spec.engine.clone(),
+                engine: engine.as_str().to_owned(),
             };
             let (index, seed, run, stagger) =
                 (cell.index as u64, cell.seed, cell.run, cell.stagger);
             let dm_cfg = cell.config;
-            let engine_name = spec.engine.clone();
             let compute: CellFn = Box::new(move || {
                 let golden = (kernel.reference)();
                 let (cycles, zero_stag, no_div, observed, episodes, ok) = if engine == Engine::Fast
@@ -210,16 +209,12 @@ fn prepare_grid(
                     // Functional twin at block granularity: architecturally
                     // exact results plus instruction-count diversity
                     // proxies, no pipeline model.
-                    let mut twin = FastTwin::new(ExecMode::Fast);
+                    let mut twin = FastTwin::new();
                     twin.load_program(&prog);
                     let out = twin.run(GRID_RUN_BUDGET);
                     let ok = !out.timed_out && (0..2).all(|c| twin.hart(c).reg(Reg::A0) == golden);
                     (out.cycles, out.zero_stag, out.no_div, out.observed, out.episodes, ok)
                 } else {
-                    // `cycle` and `hybrid` both take the cycle-accurate
-                    // path: every campaign cell runs under the monitor, and
-                    // hybrid's "always-slow in guarded regions" rule makes
-                    // the whole monitored run a guarded region.
                     let soc_cfg =
                         SocConfig { mem_jitter: 2, jitter_seed: seed, ..SocConfig::default() };
                     let dm_cfg = SafeDmConfig { report_mode: ReportMode::Polling, ..dm_cfg };
@@ -242,7 +237,7 @@ fn prepare_grid(
                     index,
                     kernel: kernel.name.to_owned(),
                     config: format!("nops={stagger}"),
-                    engine: engine_name.clone(),
+                    engine: engine.as_str().to_owned(),
                     run: run as u64,
                     seed,
                     cycles,
@@ -274,9 +269,8 @@ fn prepare_table1(spec: &CampaignSpec, ks: &[&'static Kernel], engine: Engine) -
                 config: format!("nops={nops}"),
                 run: cell.run as u64,
                 seed: cell.seed,
-                engine: spec.engine.clone(),
+                engine: engine.as_str().to_owned(),
             };
-            let engine_name = spec.engine.clone();
             let compute: CellFn = Box::new(move || {
                 let r = run_engine_prebuilt(
                     engine,
@@ -290,7 +284,7 @@ fn prepare_table1(spec: &CampaignSpec, ks: &[&'static Kernel], engine: Engine) -
                     index: cell.index as u64,
                     kernel: cell.kernel.name.to_owned(),
                     config: format!("nops={nops}"),
-                    engine: engine_name.clone(),
+                    engine: engine.as_str().to_owned(),
                     run: cell.run as u64,
                     seed: cell.seed,
                     cycles: r.cycles,
@@ -312,7 +306,7 @@ fn prepare_table1(spec: &CampaignSpec, ks: &[&'static Kernel], engine: Engine) -
 /// trials each (the historical `ccf_campaign` per-kernel event). Stats are
 /// byte-identical for any worker count, so each cell runs its trials
 /// inline and cells parallelise across kernels on the pool.
-fn prepare_ccf(spec: &CampaignSpec, ks: &[&'static Kernel]) -> Vec<CellTask> {
+fn prepare_ccf(spec: &CampaignSpec, ks: &[&'static Kernel], engine: Engine) -> Vec<CellTask> {
     let seed = spec.root_seed.unwrap_or(2024);
     let trials = usize::try_from(spec.runs).unwrap_or(usize::MAX);
     ks.iter()
@@ -325,9 +319,8 @@ fn prepare_ccf(spec: &CampaignSpec, ks: &[&'static Kernel]) -> Vec<CellTask> {
                 config: format!("trials={trials}"),
                 run: 0,
                 seed,
-                engine: spec.engine.clone(),
+                engine: engine.as_str().to_owned(),
             };
-            let engine_name = spec.engine.clone();
             let compute: CellFn = Box::new(move || {
                 let stats = Campaign::new(CampaignConfig {
                     trials,
@@ -340,7 +333,7 @@ fn prepare_ccf(spec: &CampaignSpec, ks: &[&'static Kernel]) -> Vec<CellTask> {
                     index: i as u64,
                     kernel: kernel.name.to_owned(),
                     config: format!("trials={trials}"),
-                    engine: engine_name.clone(),
+                    engine: engine.as_str().to_owned(),
                     run: 0,
                     seed,
                     cycles: 0,

@@ -107,8 +107,9 @@ pub struct CampaignSpec {
     /// Root seed for per-cell seed derivation; `None` selects the
     /// protocol's literal legacy seeds (the paper-protocol mode).
     pub root_seed: Option<u64>,
-    /// Execution engine name (`cycle`, `fast` or `hybrid`; validated by the
-    /// runner against `safedm_soc::fastpath::Engine`).
+    /// Execution engine name (`cycle` or `fast`, with `hybrid` accepted as
+    /// an alias of `cycle`; validated by the runner against
+    /// `safedm_soc::fastpath::Engine`).
     pub engine: String,
     /// Worker-count hint. Scheduling only — never part of the digest, and a
     /// server is free to clamp it.

@@ -1,10 +1,10 @@
-//! Aggregation of campaign event streams and bench baselines.
+//! Aggregation of campaign event streams and metrics snapshots.
 //!
 //! Pure data shaping — no I/O, no rendering. [`crate::report`] turns these
-//! structures into terminal and HTML views; the `safedm-sim report` and
-//! `bench --history` subcommands drive both. Everything here is
-//! deterministic: aggregation orders follow sorted keys (kernel names,
-//! config points, baseline dates), never input arrival order.
+//! structures into terminal and HTML views; the `safedm-sim report`
+//! subcommand drives both. Everything here is deterministic: aggregation
+//! orders follow sorted keys (kernel names, config points), never input
+//! arrival order.
 
 use crate::events::CellEvent;
 use crate::json::{parse, JsonValue};
@@ -178,183 +178,6 @@ pub fn stall_pareto(snapshot_json: &str) -> Result<Vec<StallCause>, String> {
     Ok(causes)
 }
 
-/// One metric of a bench baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchMetric {
-    /// Metric name.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Unit label.
-    pub unit: String,
-    /// `"higher"` or `"lower"` — which direction is better.
-    pub better: String,
-}
-
-/// One parsed `BENCH_<date>.json` baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchDoc {
-    /// File name the baseline came from.
-    pub file: String,
-    /// The baseline's date string.
-    pub date: String,
-    /// Metrics in document order.
-    pub metrics: Vec<BenchMetric>,
-}
-
-/// Parses and validates one baseline document against the `safedm-bench/1`
-/// schema.
-///
-/// # Errors
-///
-/// Returns a message naming the file and the violated constraint — never
-/// panics on malformed input.
-pub fn parse_bench_doc(file: &str, text: &str) -> Result<BenchDoc, String> {
-    let doc = parse(text).map_err(|e| format!("{file}: {e}"))?;
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some("safedm-bench/1") => {}
-        Some(other) => return Err(format!("{file}: unsupported schema `{other}`")),
-        None => return Err(format!("{file}: missing `schema` field")),
-    }
-    let date = doc
-        .get("date")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{file}: missing `date` field"))?
-        .to_owned();
-    let Some(JsonValue::Obj(members)) = doc.get("metrics") else {
-        return Err(format!("{file}: missing `metrics` object"));
-    };
-    let mut metrics = Vec::new();
-    for (name, m) in members {
-        let value = m
-            .get("value")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{file}: metric `{name}` has no numeric `value`"))?;
-        let unit = m.get("unit").and_then(JsonValue::as_str).unwrap_or("").to_owned();
-        let better = match m.get("better").and_then(JsonValue::as_str) {
-            Some(b @ ("higher" | "lower")) => b.to_owned(),
-            Some(other) => {
-                return Err(format!(
-                    "{file}: metric `{name}` has invalid `better` direction `{other}`"
-                ))
-            }
-            None => return Err(format!("{file}: metric `{name}` is missing `better`")),
-        };
-        metrics.push(BenchMetric { name: name.clone(), value, unit, better });
-    }
-    Ok(BenchDoc { file: file.to_owned(), date, metrics })
-}
-
-/// Whether a baseline document declares a `safedm-bench/N` schema newer
-/// than this binary's `safedm-bench/1` — i.e. a forward baseline written
-/// by a newer toolchain. Such files are tolerable (skip them), unlike
-/// malformed ones (error).
-fn forward_schema(text: &str) -> Option<String> {
-    let schema = parse(text).ok()?.get("schema")?.as_str()?.to_owned();
-    let version: u64 = schema.strip_prefix("safedm-bench/")?.parse().ok()?;
-    (version > 1).then_some(schema)
-}
-
-/// Loads every `BENCH_*.json` baseline in `dir`, sorted by file name (the
-/// dated naming convention makes that chronological order).
-///
-/// Baselines whose schema is a *newer* `safedm-bench/N` than this binary
-/// understands are skipped, not fatal — old binaries must tolerate forward
-/// baselines checked in by newer ones. Each skip produces a warning string
-/// in the second tuple element for the caller to surface.
-///
-/// # Errors
-///
-/// Returns a message on unreadable directories or files and on any
-/// same-or-unknown-schema baseline that fails [`parse_bench_doc`]
-/// validation.
-pub fn load_bench_history(dir: &str) -> Result<(Vec<BenchDoc>, Vec<String>), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {dir}: {e}"))?;
-    let mut files: Vec<String> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {dir}: {e}"))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            files.push(name);
-        }
-    }
-    files.sort();
-    let mut docs = Vec::new();
-    let mut warnings = Vec::new();
-    for name in files {
-        let path = std::path::Path::new(dir).join(&name);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        if let Some(schema) = forward_schema(&text) {
-            warnings.push(format!(
-                "skipping {name}: baseline schema `{schema}` is newer than this binary's \
-                 `safedm-bench/1`"
-            ));
-            continue;
-        }
-        docs.push(parse_bench_doc(&name, &text)?);
-    }
-    Ok((docs, warnings))
-}
-
-/// The trend of one metric across a baseline history: its values in
-/// baseline order and the relative change of the newest step, signed so
-/// that **positive means regression** for that metric's direction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricTrend {
-    /// Metric name.
-    pub name: String,
-    /// Unit label (from the newest baseline that has the metric).
-    pub unit: String,
-    /// Better direction (`"higher"`/`"lower"`).
-    pub better: String,
-    /// The metric's value per baseline (`None` where absent).
-    pub values: Vec<Option<f64>>,
-    /// Relative change of the last value vs the previous one, in the *bad*
-    /// direction (`> 0` is a regression); `None` with fewer than two
-    /// observations.
-    pub last_delta: Option<f64>,
-}
-
-/// Computes per-metric trends across a baseline history (metrics ordered
-/// by first appearance).
-#[must_use]
-pub fn metric_trends(history: &[BenchDoc]) -> Vec<MetricTrend> {
-    let mut trends: Vec<MetricTrend> = Vec::new();
-    for (i, doc) in history.iter().enumerate() {
-        for m in &doc.metrics {
-            let t = match trends.iter_mut().find(|t| t.name == m.name) {
-                Some(t) => t,
-                None => {
-                    trends.push(MetricTrend {
-                        name: m.name.clone(),
-                        unit: m.unit.clone(),
-                        better: m.better.clone(),
-                        values: vec![None; history.len()],
-                        last_delta: None,
-                    });
-                    trends.last_mut().expect("just pushed")
-                }
-            };
-            t.values[i] = Some(m.value);
-            t.unit = m.unit.clone();
-            t.better = m.better.clone();
-        }
-    }
-    for t in &mut trends {
-        let present: Vec<f64> = t.values.iter().filter_map(|v| *v).collect();
-        if present.len() >= 2 {
-            let (prev, last) = (present[present.len() - 2], present[present.len() - 1]);
-            if prev != 0.0 {
-                let delta =
-                    if t.better == "higher" { (prev - last) / prev } else { (last - prev) / prev };
-                t.last_delta = Some(delta);
-            }
-        }
-    }
-    trends
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,53 +272,5 @@ mod tests {
         assert_eq!(causes[1], StallCause { cause: "fetch".to_owned(), cycles: 10 });
         assert!(stall_pareto("{}").is_err());
         assert!(stall_pareto("not json").is_err());
-    }
-
-    fn bench_doc(date: &str, value: f64) -> String {
-        format!(
-            r#"{{"schema":"safedm-bench/1","date":"{date}","reps":3,"metrics":{{
-               "sim_mcps_fac":{{"value":{value},"unit":"Mcyc/s","better":"higher"}}}}}}"#
-        )
-    }
-
-    #[test]
-    fn bench_docs_validate_cleanly() {
-        let ok = parse_bench_doc("BENCH_a.json", &bench_doc("2026-01-01", 1.5)).unwrap();
-        assert_eq!(ok.date, "2026-01-01");
-        assert_eq!(ok.metrics.len(), 1);
-        // Malformed inputs are errors, not panics.
-        assert!(parse_bench_doc("f", "{").is_err());
-        assert!(parse_bench_doc("f", "{}").is_err());
-        assert!(parse_bench_doc("f", r#"{"schema":"other/9"}"#).is_err());
-        let bad_better = r#"{"schema":"safedm-bench/1","date":"d","metrics":
-            {"m":{"value":1,"unit":"x","better":"sideways"}}}"#;
-        assert!(parse_bench_doc("f", bad_better).unwrap_err().contains("sideways"));
-        let no_value = r#"{"schema":"safedm-bench/1","date":"d","metrics":{"m":{"unit":"x"}}}"#;
-        assert!(parse_bench_doc("f", no_value).is_err());
-    }
-
-    #[test]
-    fn trends_flag_regressions_in_the_bad_direction() {
-        let history = vec![
-            parse_bench_doc("BENCH_1.json", &bench_doc("1", 2.0)).unwrap(),
-            parse_bench_doc("BENCH_2.json", &bench_doc("2", 1.0)).unwrap(),
-        ];
-        let trends = metric_trends(&history);
-        assert_eq!(trends.len(), 1);
-        // higher-is-better halved → +50% regression.
-        assert_eq!(trends[0].last_delta, Some(0.5));
-        assert_eq!(trends[0].values, vec![Some(2.0), Some(1.0)]);
-        // Improvement is a negative delta.
-        let up = vec![
-            parse_bench_doc("BENCH_1.json", &bench_doc("1", 1.0)).unwrap(),
-            parse_bench_doc("BENCH_2.json", &bench_doc("2", 2.0)).unwrap(),
-        ];
-        assert_eq!(metric_trends(&up)[0].last_delta, Some(-1.0));
-    }
-
-    #[test]
-    fn single_baseline_has_no_delta() {
-        let history = vec![parse_bench_doc("BENCH_1.json", &bench_doc("1", 2.0)).unwrap()];
-        assert_eq!(metric_trends(&history)[0].last_delta, None);
     }
 }

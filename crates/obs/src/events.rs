@@ -43,8 +43,8 @@ pub struct CellEvent {
     pub kernel: String,
     /// Config-point description (e.g. `nops=100`, `fifo=8`, `mem=20%`).
     pub config: String,
-    /// Execution engine that produced the cell (`cycle`, `fast` or
-    /// `hybrid`); absent in pre-engine streams, which parse as `cycle`.
+    /// Execution engine that produced the cell (`cycle` or `fast`);
+    /// absent in pre-engine streams, which parse as `cycle`.
     pub engine: String,
     /// Repeat-run number within the config point.
     pub run: u64,
@@ -253,9 +253,9 @@ mod tests {
         let back = &parse_jsonl(&doc).unwrap()[0];
         assert_eq!(back.engine, "cycle");
         // Non-default engines round-trip.
-        let ev = CellEvent { engine: "hybrid".to_owned(), ..sample() };
+        let ev = CellEvent { engine: "fast".to_owned(), ..sample() };
         let back = &parse_jsonl(&to_jsonl(std::slice::from_ref(&ev), Timing::Strip)).unwrap()[0];
-        assert_eq!(back.engine, "hybrid");
+        assert_eq!(back.engine, "fast");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!
 //! On top of these sit the campaign-telemetry modules: [`events`] (the
 //! per-cell [`events::CellEvent`] record and its JSONL codec), [`aggregate`]
-//! (per-kernel summaries, heatmaps, stall Paretos and bench-baseline
-//! trends) and [`report`] (terminal and self-contained HTML renderers).
+//! (per-kernel summaries, heatmaps and stall Paretos) and [`report`]
+//! (terminal and self-contained HTML renderers).
 //! Serialised events strip wall-clock by default so campaign telemetry
 //! inherits the byte-identical-across-workers contract.
 //!

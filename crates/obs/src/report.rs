@@ -1,5 +1,5 @@
 //! Renderers for campaign telemetry: terminal tables, unicode heatmaps and
-//! sparklines, and a self-contained HTML report.
+//! a self-contained HTML report.
 //!
 //! All renderers are pure functions of [`crate::aggregate`] structures and
 //! format floats with fixed precision, so identical inputs produce
@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use crate::aggregate::{BenchDoc, Heatmap, KernelSummary, MetricTrend, StallCause};
+use crate::aggregate::{Heatmap, KernelSummary, StallCause};
 use crate::events::CellEvent;
 
 /// Unicode shade for a 0..=1 density (5 levels).
@@ -21,31 +21,6 @@ pub fn shade(frac: f64) -> char {
         3 => '\u{2593}', // ▓
         _ => '\u{2588}', // █
     }
-}
-
-/// A sparkline over an optionally-sparse series (`·` marks holes), scaled
-/// to the series' own min..max.
-#[must_use]
-pub fn sparkline(values: &[Option<f64>]) -> String {
-    const RAMP: [char; 8] = [
-        '\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}',
-        '\u{2588}',
-    ];
-    let present: Vec<f64> = values.iter().filter_map(|v| *v).collect();
-    let (lo, hi) = present
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(*v), hi.max(*v)));
-    values
-        .iter()
-        .map(|v| match v {
-            None => '\u{00b7}', // ·
-            Some(v) => {
-                let t = if hi > lo { (v - lo) / (hi - lo) } else { 0.5 };
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                RAMP[((t * 7.0).round() as usize).min(7)]
-            }
-        })
-        .collect()
 }
 
 /// The per-kernel summary table.
@@ -155,73 +130,6 @@ pub fn render_pareto(causes: &[StallCause]) -> String {
     out
 }
 
-/// The bench-trend table: per metric a sparkline over the history, the
-/// newest value, and the delta vs the previous baseline; deltas beyond
-/// `tolerance` in the bad direction are flagged. Returns the rendered
-/// table and the names of regressed metrics.
-#[must_use]
-pub fn render_trend(
-    history: &[BenchDoc],
-    trends: &[MetricTrend],
-    tolerance: f64,
-) -> (String, Vec<String>) {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench history: {} baseline(s), {} .. {}",
-        history.len(),
-        history.first().map_or("-", |d| d.date.as_str()),
-        history.last().map_or("-", |d| d.date.as_str()),
-    );
-    let nw = trends.iter().map(|t| t.name.len()).max().unwrap_or(6).max(6);
-    let _ = writeln!(
-        out,
-        "{:<nw$}  {:<12} {:>12} {:>8} {:>9}  verdict",
-        "metric", "trend", "latest", "unit", "delta"
-    );
-    let mut regressed = Vec::new();
-    for t in trends {
-        let spark = sparkline(&t.values);
-        let latest = t
-            .values
-            .iter()
-            .rev()
-            .find_map(|v| *v)
-            .map_or_else(|| "-".to_owned(), |v| format!("{v:.3}"));
-        let (delta_txt, verdict) = match t.last_delta {
-            None => ("-".to_owned(), "new".to_owned()),
-            Some(d) => {
-                // `d` is signed toward "bad": positive = regression.
-                let txt = format!("{:+.1}%", -d * 100.0 * sign_for_display(&t.better));
-                if d > tolerance {
-                    regressed.push(t.name.clone());
-                    (txt, "REGRESSED".to_owned())
-                } else if d < -tolerance {
-                    (txt, "improved".to_owned())
-                } else {
-                    (txt, "ok".to_owned())
-                }
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{:<nw$}  {:<12} {:>12} {:>8} {:>9}  {verdict}",
-            t.name, spark, latest, t.unit, delta_txt
-        );
-    }
-    (out, regressed)
-}
-
-/// Display sign so the delta column always shows the *raw* relative change
-/// of the value (positive = value went up), regardless of direction.
-fn sign_for_display(better: &str) -> f64 {
-    if better == "higher" {
-        1.0
-    } else {
-        -1.0
-    }
-}
-
 /// Escapes text for HTML bodies.
 #[must_use]
 pub fn html_escape(s: &str) -> String {
@@ -242,8 +150,7 @@ pub fn html_page(title: &str, sections: &[(String, String)]) -> String {
          h1{{font-size:1.4em}} h2{{font-size:1.1em;margin-top:1.5em}}\n\
          table{{border-collapse:collapse}} td,th{{border:1px solid #ccc;padding:2px 8px;\
          text-align:right}} th{{background:#eee}} td.l,th.l{{text-align:left}}\n\
-         td.hot{{color:#fff}} .spark{{font-size:1.2em;letter-spacing:1px}}\n\
-         .regressed{{color:#b00020;font-weight:bold}} .ok{{color:#1b5e20}}\n\
+         td.hot{{color:#fff}}\n\
          </style></head><body>\n<h1>{}</h1>\n{body}</body></html>\n",
         html_escape(title),
         html_escape(title)
@@ -315,50 +222,10 @@ pub fn html_pre(text: &str) -> String {
     format!("<pre>{}</pre>", html_escape(text))
 }
 
-/// The bench trend as an HTML table with sparklines and verdict colours.
-#[must_use]
-pub fn html_trend(trends: &[MetricTrend], tolerance: f64) -> String {
-    let mut out = String::from(
-        "<table><tr><th class=\"l\">metric</th><th>trend</th><th>latest</th><th>unit</th>\
-         <th>delta</th><th>verdict</th></tr>\n",
-    );
-    for t in trends {
-        let latest = t
-            .values
-            .iter()
-            .rev()
-            .find_map(|v| *v)
-            .map_or_else(|| "-".to_owned(), |v| format!("{v:.3}"));
-        let (delta_txt, verdict, class) = match t.last_delta {
-            None => ("-".to_owned(), "new", ""),
-            Some(d) => {
-                let txt = format!("{:+.1}%", -d * 100.0 * sign_for_display(&t.better));
-                if d > tolerance {
-                    (txt, "REGRESSED", " class=\"regressed\"")
-                } else if d < -tolerance {
-                    (txt, "improved", " class=\"ok\"")
-                } else {
-                    (txt, "ok", " class=\"ok\"")
-                }
-            }
-        };
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td class=\"spark\">{}</td><td>{latest}</td>\
-             <td>{}</td><td>{delta_txt}</td><td{class}>{verdict}</td></tr>",
-            html_escape(&t.name),
-            sparkline(&t.values),
-            html_escape(&t.unit),
-        );
-    }
-    out.push_str("</table>");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{heatmap, metric_trends, parse_bench_doc, summarize_by_kernel};
+    use crate::aggregate::{heatmap, summarize_by_kernel};
 
     fn ev(kernel: &str, config: &str, guarded: u64, no_div: u64) -> CellEvent {
         CellEvent {
@@ -380,17 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn shade_and_sparkline_cover_the_range() {
+    fn shade_covers_the_range() {
         assert_eq!(shade(0.0), ' ');
         assert_eq!(shade(1.0), '\u{2588}');
         assert_eq!(shade(2.5), '\u{2588}'); // clamped
-        let s = sparkline(&[Some(0.0), Some(1.0), None, Some(0.5)]);
-        assert_eq!(s.chars().count(), 4);
-        assert_eq!(s.chars().nth(2), Some('\u{00b7}'));
-        assert_eq!(s.chars().next(), Some('\u{2581}'));
-        assert_eq!(s.chars().nth(1), Some('\u{2588}'));
-        // Flat series sits mid-ramp rather than dividing by zero.
-        assert_eq!(sparkline(&[Some(3.0), Some(3.0)]).chars().next(), Some('\u{2585}'));
     }
 
     #[test]
@@ -403,32 +263,6 @@ mod tests {
         let html = html_heatmap(&h);
         assert!(html.contains("<table>"));
         assert!(html.contains("rgb(255,"));
-    }
-
-    #[test]
-    fn trend_render_flags_regressions() {
-        let mk = |v: f64| {
-            parse_bench_doc(
-                "BENCH_x.json",
-                &format!(
-                    r#"{{"schema":"safedm-bench/1","date":"d","metrics":
-                       {{"m":{{"value":{v},"unit":"ms","better":"lower"}}}}}}"#
-                ),
-            )
-            .unwrap()
-        };
-        let history = vec![mk(100.0), mk(150.0)];
-        let trends = metric_trends(&history);
-        let (text, regressed) = render_trend(&history, &trends, 0.10);
-        assert!(text.contains("REGRESSED"), "{text}");
-        assert_eq!(regressed, vec!["m".to_owned()]);
-        // +50% raw change on a lower-is-better metric.
-        assert!(text.contains("+50.0%"), "{text}");
-        let html = html_trend(&trends, 0.10);
-        assert!(html.contains("regressed"));
-        // Within tolerance → ok, nothing regressed.
-        let (_, none) = render_trend(&history, &metric_trends(&[mk(100.0), mk(105.0)]), 0.10);
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -127,12 +127,6 @@ impl BlockCache {
         }
     }
 
-    /// Whether `pc` is a block leader of the installed image.
-    #[must_use]
-    pub fn is_leader(&self, pc: u64) -> bool {
-        self.leaders.contains(&pc)
-    }
-
     /// The leader set in ascending address order (test/diagnostic aid).
     #[must_use]
     pub fn leaders_sorted(&self) -> Vec<u64> {
@@ -251,7 +245,7 @@ mod tests {
         cache.install_image(&mem, range, entry);
         assert!(cache.block_at(&mem, range.0).is_none());
         // The slot after the bad word is a leader and compiles fine.
-        assert!(cache.is_leader(range.0 + 4));
+        assert!(cache.leaders_sorted().contains(&(range.0 + 4)));
         assert!(cache.block_at(&mem, range.0 + 4).is_some());
     }
 }

@@ -5,10 +5,7 @@
 //! identical counter discipline (a decoded instruction that then traps
 //! *does* count as executed, and the pc stays at the trapping instruction).
 //! The difference is purely mechanical — instead of decode-per-step it
-//! replays pre-lowered ops from a [`BlockCache`], either always
-//! ([`ExecMode::Fast`]) or once a block entry has run hot
-//! ([`ExecMode::Hybrid`], which records every interp↔compiled switch as a
-//! [`SwitchEvent`] for golden-trace regression tests).
+//! replays pre-lowered ops from a [`BlockCache`].
 //!
 //! [`FastTwin`] steps two [`FastIss`] harts in lockstep and reports
 //! *functional proxies* of the SafeDM monitor counters (see
@@ -18,56 +15,13 @@
 
 use safedm_asm::Program;
 use safedm_isa::csr::CsrFile;
-use safedm_isa::{alu, branch_taken, decode, is_aligned, load_value, store_merge, CsrKind, Reg};
+use safedm_isa::{alu, branch_taken, is_aligned, load_value, store_merge, CsrKind, Reg};
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::block::{BlockCache, CompiledBlock};
-use super::lower::{is_block_end, lower, FastOp};
+use super::lower::FastOp;
 use crate::{CoreExit, MainMemory, MemSpace, TrapCause};
-
-/// Default hot threshold for [`ExecMode::Hybrid`]: a block entry compiles
-/// after this many cold visits.
-pub const DEFAULT_HOT_THRESHOLD: u32 = 4;
-
-/// Switch-trace events are capped so pathological ping-ponging cannot grow
-/// memory without bound; the cap is far above any kernel's real count.
-const MAX_SWITCH_EVENTS: usize = 4096;
-
-/// How the fast engine decides between interpreting and replaying blocks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Every block entry compiles immediately (maximum throughput).
-    #[default]
-    Fast,
-    /// A block entry interprets cold until it has been entered
-    /// `hot_threshold` times, then compiles; switches are traced.
-    Hybrid {
-        /// Entries before a block goes hot (≥ 1 behaves as written; 0 is
-        /// treated as always-hot).
-        hot_threshold: u32,
-    },
-}
-
-impl ExecMode {
-    /// Hybrid mode with [`DEFAULT_HOT_THRESHOLD`].
-    #[must_use]
-    pub fn hybrid_default() -> ExecMode {
-        ExecMode::Hybrid { hot_threshold: DEFAULT_HOT_THRESHOLD }
-    }
-}
-
-/// One interp↔compiled transition at a block entry (hybrid mode only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwitchEvent {
-    /// Instructions retired before the op at `pc` executed.
-    pub executed: u64,
-    /// Block-entry pc where the switch happened.
-    pub pc: u64,
-    /// `true`: entering compiled replay; `false`: back to interpretation.
-    pub compiled: bool,
-}
 
 /// Block-compiled functional RV64IM hart, architecturally equivalent to
 /// [`crate::Iss`] (enforced by the `fastpath_differential` suite).
@@ -77,14 +31,14 @@ pub struct SwitchEvent {
 /// ```
 /// use safedm_asm::Asm;
 /// use safedm_isa::Reg;
-/// use safedm_soc::fastpath::{ExecMode, FastIss};
+/// use safedm_soc::fastpath::FastIss;
 ///
 /// let mut a = Asm::new();
 /// a.li(Reg::A0, 21);
 /// a.add(Reg::A0, Reg::A0, Reg::A0);
 /// a.ebreak();
 /// let prog = a.link(0x8000_0000)?;
-/// let mut fast = FastIss::new(0, ExecMode::Fast);
+/// let mut fast = FastIss::new(0);
 /// fast.load_program(&prog);
 /// fast.run(10_000);
 /// assert_eq!(fast.reg(Reg::A0), 42);
@@ -101,23 +55,15 @@ pub struct FastIss {
     code_range: (u64, u64),
     exit: CoreExit,
     executed: u64,
-    mode: ExecMode,
     cache: BlockCache,
     /// Cursor into the block currently being replayed.
     cur: Option<(Arc<CompiledBlock>, usize)>,
-    /// Mid-block in cold interpretation (suppresses heat/switch bookkeeping
-    /// until the next block entry).
-    cold_run: bool,
-    /// Last block-entry decision, for switch-edge detection.
-    last_hot: bool,
-    heat: HashMap<u64, u32>,
-    switches: Vec<SwitchEvent>,
 }
 
 impl FastIss {
     /// Creates a fast hart `hart` with empty memory.
     #[must_use]
-    pub fn new(hart: usize, mode: ExecMode) -> FastIss {
+    pub fn new(hart: usize) -> FastIss {
         FastIss {
             hart,
             regs: [0; 32],
@@ -127,13 +73,8 @@ impl FastIss {
             code_range: (0, 0),
             exit: CoreExit::Running,
             executed: 0,
-            mode,
             cache: BlockCache::new(),
             cur: None,
-            cold_run: false,
-            last_hot: false,
-            heat: HashMap::new(),
-            switches: Vec::new(),
         }
     }
 
@@ -147,9 +88,6 @@ impl FastIss {
         self.pc = prog.entry;
         self.cache.install_image(&self.mem, self.code_range, prog.entry);
         self.cur = None;
-        self.cold_run = false;
-        self.last_hot = false;
-        self.heat.clear();
     }
 
     /// Current program counter.
@@ -195,28 +133,6 @@ impl FastIss {
         &self.cache
     }
 
-    /// Interp↔compiled switch trace (hybrid mode; empty in fast mode).
-    #[must_use]
-    pub fn switches(&self) -> &[SwitchEvent] {
-        &self.switches
-    }
-
-    /// Renders the switch trace, one event per line — the golden-fixture
-    /// format used by `golden_pipeline.rs`.
-    #[must_use]
-    pub fn render_switch_trace(&self) -> String {
-        let mut s = String::new();
-        for ev in &self.switches {
-            s.push_str(&format!(
-                "inst {:>8} pc {:#010x} -> {}\n",
-                ev.executed,
-                ev.pc,
-                if ev.compiled { "compiled" } else { "interp" }
-            ));
-        }
-        s
-    }
-
     fn space(&self, addr: u64) -> MemSpace {
         if addr >= self.code_range.0 && addr < self.code_range.1 {
             MemSpace::Code
@@ -229,27 +145,6 @@ impl FastIss {
         if !r.is_zero() {
             self.regs[r.index() as usize] = v;
         }
-    }
-
-    /// Block-entry decision: compile or interpret? Hybrid mode also logs
-    /// the switch edge.
-    fn enter_hot(&mut self, pc: u64) -> bool {
-        let hot = match self.mode {
-            ExecMode::Fast => true,
-            ExecMode::Hybrid { hot_threshold } => {
-                let h = self.heat.entry(pc).or_insert(0);
-                *h = h.saturating_add(1);
-                *h >= hot_threshold
-            }
-        };
-        if matches!(self.mode, ExecMode::Hybrid { .. })
-            && hot != self.last_hot
-            && self.switches.len() < MAX_SWITCH_EVENTS
-        {
-            self.switches.push(SwitchEvent { executed: self.executed, pc, compiled: hot });
-        }
-        self.last_hot = hot;
-        hot
     }
 
     /// Executes one instruction. Returns `false` once halted. Semantics are
@@ -277,28 +172,12 @@ impl FastIss {
                 }
                 self.cur = None;
             }
-            // Mid-block cold interpretation continues cold; everything else
-            // is a block entry and consults the heat policy.
-            let continuation = self.cold_run && !self.cache.is_leader(pc);
-            if !continuation && self.enter_hot(pc) {
-                match self.cache.block_at(&self.mem, pc) {
-                    Some(blk) => {
-                        let op = blk.ops[0];
-                        self.cur = Some((blk, 1));
-                        self.cold_run = false;
-                        break 'op Some(op);
-                    }
-                    None => break 'op None,
-                }
-            }
-            // Cold path: decode and lower this single slot.
-            match decode(self.mem.read_word(MemSpace::Code, pc)) {
-                Ok(inst) => {
-                    self.cold_run = !is_block_end(&inst);
-                    break 'op Some(lower(pc, &inst));
-                }
-                Err(_) => break 'op None,
-            }
+            // Every other pc is a block entry: replay its compiled block.
+            self.cache.block_at(&self.mem, pc).map(|blk| {
+                let op = blk.ops[0];
+                self.cur = Some((blk, 1));
+                op
+            })
         };
         let Some(op) = op else {
             let word = self.mem.read_word(MemSpace::Code, pc);
@@ -449,11 +328,17 @@ pub struct FastTwin {
     harts: [FastIss; 2],
 }
 
+impl Default for FastTwin {
+    fn default() -> FastTwin {
+        FastTwin::new()
+    }
+}
+
 impl FastTwin {
-    /// A twin pair (harts 0 and 1) in the given mode.
+    /// A twin pair (harts 0 and 1).
     #[must_use]
-    pub fn new(mode: ExecMode) -> FastTwin {
-        FastTwin { harts: [FastIss::new(0, mode), FastIss::new(1, mode)] }
+    pub fn new() -> FastTwin {
+        FastTwin { harts: [FastIss::new(0), FastIss::new(1)] }
     }
 
     /// Loads the same program into both harts.
@@ -550,12 +435,13 @@ mod tests {
         a.link(0x8000_0000).unwrap()
     }
 
-    fn parity(mode: ExecMode) {
+    #[test]
+    fn fast_matches_iss_on_loop() {
         let prog = sum_prog();
         let mut iss = Iss::new(0);
         iss.load_program(&prog);
         iss.run(1_000_000);
-        let mut fast = FastIss::new(0, mode);
+        let mut fast = FastIss::new(0);
         fast.load_program(&prog);
         fast.run(1_000_000);
         assert_eq!(fast.reg(Reg::A0), 5050);
@@ -568,35 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_matches_iss_on_loop() {
-        parity(ExecMode::Fast);
-    }
-
-    #[test]
-    fn hybrid_matches_iss_on_loop() {
-        parity(ExecMode::hybrid_default());
-    }
-
-    #[test]
-    fn hybrid_switch_trace_is_deterministic_and_goes_hot() {
-        let prog = sum_prog();
-        let run = |_| {
-            let mut f = FastIss::new(0, ExecMode::hybrid_default());
-            f.load_program(&prog);
-            f.run(1_000_000);
-            (f.render_switch_trace(), f.switches().len())
-        };
-        let (t1, n1) = run(());
-        let (t2, _) = run(());
-        assert_eq!(t1, t2);
-        assert!(n1 >= 1, "loop body must go hot");
-        assert!(t1.contains("-> compiled"), "{t1}");
-    }
-
-    #[test]
     fn twin_identical_images_never_diverge() {
         let prog = sum_prog();
-        let mut twin = FastTwin::new(ExecMode::Fast);
+        let mut twin = FastTwin::new();
         twin.load_program(&prog);
         let out = twin.run(1_000_000);
         assert!(!out.timed_out);

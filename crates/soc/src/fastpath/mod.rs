@@ -10,9 +10,9 @@
 //!
 //! ## Engines
 //!
-//! Three engine selections are exposed to the CLI as `--engine`:
+//! Two engine selections are exposed to the CLI as `--engine`:
 //!
-//! * [`Engine::Cycle`] — the existing cycle-accurate pipeline model.
+//! * [`Engine::Cycle`] — the cycle-accurate pipeline model.
 //!   Monitor verdicts are a pure function of the per-cycle probe stream
 //!   (stage raw bits, register ports, commit counts), so this is the only
 //!   engine that produces paper-grade diversity numbers.
@@ -22,33 +22,20 @@
 //!   *nominal* 1-instruction-per-cycle time. Monitor counters reported by
 //!   [`FastTwin`] are functional proxies (see its docs), not comparable
 //!   byte-for-byte with the cycle engine.
-//! * [`Engine::Hybrid`] — conservative composition: any window the
-//!   diversity monitor observes runs the cycle-accurate model (the
-//!   "always-slow" default for `MonitoredSoc` guarded regions), so monitor
-//!   verdicts are byte-identical to [`Engine::Cycle`] **by construction**;
-//!   unmonitored functional work (reference checks, standalone runs) uses
-//!   the block cache with hot/cold switching ([`ExecMode::Hybrid`]).
-//!
-//! ## Soundness of the switch windows
 //!
 //! SafeDM's signatures hash raw instruction bits and register port values
-//! *per cycle*; a functional model has no cycles, ports or stage contents,
-//! so any cycle the monitor observes must come from the pipeline model.
-//! The guarded-region protocol (Table I, campaigns, machine checks)
-//! observes from the first committed instruction to the first core halt —
-//! which is why [`Engine::Hybrid`] defaults guarded regions to the cycle
-//! model wholesale instead of trying to splice functional execution into
-//! an observation window. The fast tier therefore accelerates the places
-//! where fidelity is *not* observable: architectural reference runs, twin
-//! verification, fuzzing, and `--engine fast` campaigns that only need
-//! checksums and functional counters.
+//! *per cycle*; a functional model has no cycles, ports or stage contents.
+//! The fast tier therefore accelerates the places where fidelity is *not*
+//! observable: architectural reference runs, twin verification, fuzzing,
+//! and `--engine fast` campaigns that only need checksums and functional
+//! counters.
 
 mod block;
 mod engine;
 mod lower;
 
 pub use block::{BlockCache, CompiledBlock, MAX_BLOCK_OPS};
-pub use engine::{ExecMode, FastIss, FastTwin, FastTwinRun, SwitchEvent};
+pub use engine::{FastIss, FastTwin, FastTwinRun};
 pub use lower::{is_block_end, lower, FastOp};
 
 /// Which execution engine a CLI run or campaign cell uses.
@@ -59,9 +46,6 @@ pub enum Engine {
     Cycle,
     /// Block-compiled functional execution everywhere; nominal 1-IPC time.
     Fast,
-    /// Cycle-accurate inside monitor-observed windows, block-compiled
-    /// elsewhere; monitor verdicts byte-identical to [`Engine::Cycle`].
-    Hybrid,
 }
 
 impl Engine {
@@ -71,21 +55,21 @@ impl Engine {
         match self {
             Engine::Cycle => "cycle",
             Engine::Fast => "fast",
-            Engine::Hybrid => "hybrid",
         }
     }
 
-    /// Parses a `--engine` value.
+    /// Parses a `--engine` value. `hybrid`, the name of a retired engine
+    /// that ran every monitored cell on the cycle-accurate model, parses as
+    /// [`Engine::Cycle`] so stored `safedm-api/1` specs keep running.
     ///
     /// # Errors
     ///
     /// Returns a CLI-ready message naming the accepted values.
     pub fn parse(s: &str) -> Result<Engine, String> {
         match s.trim() {
-            "cycle" => Ok(Engine::Cycle),
+            "cycle" | "hybrid" => Ok(Engine::Cycle),
             "fast" => Ok(Engine::Fast),
-            "hybrid" => Ok(Engine::Hybrid),
-            other => Err(format!("invalid engine `{other}` (expected cycle, fast or hybrid)")),
+            other => Err(format!("invalid engine `{other}` (expected cycle or fast)")),
         }
     }
 }
@@ -110,11 +94,12 @@ mod tests {
 
     #[test]
     fn engine_names_roundtrip() {
-        for e in [Engine::Cycle, Engine::Fast, Engine::Hybrid] {
+        for e in [Engine::Cycle, Engine::Fast] {
             assert_eq!(Engine::parse(e.as_str()), Ok(e));
             assert_eq!(e.as_str().parse::<Engine>(), Ok(e));
             assert_eq!(format!("{e}"), e.as_str());
         }
+        assert_eq!(Engine::parse("hybrid"), Ok(Engine::Cycle));
         assert!(Engine::parse("warp").is_err());
         assert_eq!(Engine::default(), Engine::Cycle);
     }

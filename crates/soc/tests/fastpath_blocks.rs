@@ -4,14 +4,15 @@
 //!   same block extents — on every TACLe kernel and twin image;
 //! * reinstalling an image bumps the cache version and drops every
 //!   compiled block (no stale code survives a reload);
-//! * hot/cold engine switches never skip or double-execute an instruction:
-//!   chopping a run into arbitrary `run(chunk)` slices conserves the
-//!   retired-instruction count and the final architectural state.
+//! * resuming a block mid-way never skips or double-executes an
+//!   instruction: chopping a run into arbitrary `run(chunk)` slices
+//!   conserves the retired-instruction count and the final architectural
+//!   state.
 
 use proptest::prelude::*;
 use safedm_analysis::cfg::{Cfg, DecodedProgram};
 use safedm_isa::Reg;
-use safedm_soc::fastpath::{BlockCache, ExecMode, FastIss, MAX_BLOCK_OPS};
+use safedm_soc::fastpath::{BlockCache, FastIss, MAX_BLOCK_OPS};
 use safedm_soc::{MainMemory, MemSpace};
 use safedm_tacle::{build_kernel_program, build_twin_program, kernels, HarnessConfig, TwinConfig};
 
@@ -37,7 +38,7 @@ fn assert_cache_matches_cfg(what: &str, prog: &safedm_asm::Program) {
         let pc = dec.pc_of(b.start);
         // Blocks whose slots all decode compile to exactly the CFG extent
         // (capped at MAX_BLOCK_OPS); a block led by an undecodable word
-        // stays uncompiled and the interpreter path traps on it instead.
+        // stays uncompiled and the engine traps on it instead.
         let all_decode = (b.start..b.end).all(|i| dec.slots[i].inst.is_some());
         let leads_decodable = dec.slots[b.start].inst.is_some();
         match cache.block_at(&mem, pc) {
@@ -80,7 +81,7 @@ fn reloaded_images_invalidate_the_cache() {
     let b =
         build_kernel_program(kernels::by_name("fac").expect("kernel"), &HarnessConfig::default());
 
-    let mut f = FastIss::new(0, ExecMode::Fast);
+    let mut f = FastIss::new(0);
     f.load_program(&a);
     f.run(500);
     let v1 = f.block_cache().version();
@@ -108,24 +109,23 @@ const CHUNK_KERNELS: [&str; 5] = ["bitcount", "fac", "iir", "pm", "insertsort"];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Slicing a hybrid run into arbitrary `run(chunk)` windows — each
-    /// boundary can land mid-block, forcing a cold re-entry — never skips
-    /// or double-executes: retired count and final state match a one-shot
-    /// fast run exactly.
+    /// Slicing a fast run into arbitrary `run(chunk)` windows — each
+    /// boundary can land mid-block, so the next window resumes from the
+    /// block cursor — never skips or double-executes: retired count and
+    /// final state match a one-shot run exactly.
     #[test]
     fn chunked_runs_conserve_retire_counts(
         kidx in 0..CHUNK_KERNELS.len(),
         chunk in 1u64..3000,
-        hot_threshold in 1u32..6,
     ) {
         let k = kernels::by_name(CHUNK_KERNELS[kidx]).expect("kernel");
         let prog = build_kernel_program(k, &HarnessConfig::default());
 
-        let mut oneshot = FastIss::new(0, ExecMode::Fast);
+        let mut oneshot = FastIss::new(0);
         oneshot.load_program(&prog);
         oneshot.run(200_000_000);
 
-        let mut chunked = FastIss::new(0, ExecMode::Hybrid { hot_threshold });
+        let mut chunked = FastIss::new(0);
         chunked.load_program(&prog);
         let mut spent = 0u64;
         while chunked.exit().is_running() && spent < 200_000_000 {

@@ -1,9 +1,9 @@
 //! Differential testing of the block-compiled fast-path engines against the
 //! reference functional ISS: for every TACLe kernel, every diversity-twin
-//! image and a seeded stream of random programs, `FastIss` in both `Fast`
-//! and `Hybrid` mode must finish with exactly the same architectural state
-//! as [`Iss`] — full register file, pc, exit reason, retired-instruction
-//! count, counter CSRs and a digest of all touched memory.
+//! image and a seeded stream of random programs, `FastIss` must finish with
+//! exactly the same architectural state as [`Iss`] — full register file,
+//! pc, exit reason, retired-instruction count, counter CSRs and a digest of
+//! all touched memory.
 //!
 //! The fuzz case count defaults to 200 programs and can be overridden with
 //! `FASTPATH_FUZZ_CASES` (CI smoke runs 25). The vendored proptest subset
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use safedm_asm::{Asm, Program};
 use safedm_isa::csr::addr;
 use safedm_isa::{AluKind, Reg};
-use safedm_soc::fastpath::{ExecMode, FastIss};
+use safedm_soc::fastpath::FastIss;
 use safedm_soc::{CoreExit, Iss};
 use safedm_tacle::{
     build_kernel_program, build_twin_program, kernels, HarnessConfig, StaggerConfig, TwinConfig,
@@ -29,8 +29,8 @@ fn run_iss(prog: &Program, hart: usize) -> Iss {
     iss
 }
 
-fn run_fast(prog: &Program, hart: usize, mode: ExecMode) -> FastIss {
-    let mut fast = FastIss::new(hart, mode);
+fn run_fast(prog: &Program, hart: usize) -> FastIss {
+    let mut fast = FastIss::new(hart);
     fast.load_program(prog);
     fast.run(RUN_BUDGET);
     fast
@@ -52,7 +52,7 @@ fn assert_arch_equal(what: &str, iss: &Iss, fast: &FastIss) {
 }
 
 #[test]
-fn fast_and_hybrid_match_iss_on_all_kernels() {
+fn fast_matches_iss_on_all_kernels() {
     for k in kernels::all() {
         let prog = build_kernel_program(k, &HarnessConfig::default());
         let iss = run_iss(&prog, 0);
@@ -63,10 +63,7 @@ fn fast_and_hybrid_match_iss_on_all_kernels() {
             iss.exit()
         );
         assert_eq!(iss.reg(Reg::A0), (k.reference)(), "{}: ISS checksum", k.name);
-        for mode in [ExecMode::Fast, ExecMode::hybrid_default()] {
-            let fast = run_fast(&prog, 0, mode);
-            assert_arch_equal(&format!("{} ({mode:?})", k.name), &iss, &fast);
-        }
+        assert_arch_equal(k.name, &iss, &run_fast(&prog, 0));
     }
 }
 
@@ -86,28 +83,24 @@ fn engines_match_on_staggered_kernels() {
             // must still match the ISS exactly.
             for hart in 0..2 {
                 let iss = run_iss(&prog, hart);
-                for mode in [ExecMode::Fast, ExecMode::hybrid_default()] {
-                    let fast = run_fast(&prog, hart, mode);
-                    assert_arch_equal(&format!("{name} nops={nops} hart {hart}"), &iss, &fast);
-                }
+                let fast = run_fast(&prog, hart);
+                assert_arch_equal(&format!("{name} nops={nops} hart {hart}"), &iss, &fast);
             }
         }
     }
 }
 
 #[test]
-fn fast_and_hybrid_match_iss_on_twin_images() {
+fn fast_matches_iss_on_twin_images() {
     // Composed diversity twins run hart-dependent code paths; every hart of
-    // every twin image must match the ISS under both fast modes.
+    // every twin image must match the ISS.
     for k in kernels::all() {
         let tw = build_twin_program(k, &TwinConfig::default());
         for hart in 0..2 {
             let iss = run_iss(&tw.program, hart);
             assert_eq!(iss.reg(Reg::A0), (k.reference)(), "{}: twin ISS checksum", k.name);
-            for mode in [ExecMode::Fast, ExecMode::hybrid_default()] {
-                let fast = run_fast(&tw.program, hart, mode);
-                assert_arch_equal(&format!("{} twin hart {hart}", k.name), &iss, &fast);
-            }
+            let fast = run_fast(&tw.program, hart);
+            assert_arch_equal(&format!("{} twin hart {hart}", k.name), &iss, &fast);
         }
     }
 }
@@ -308,7 +301,7 @@ fn fuzz_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Both fast modes finish every random program in the same
+    /// The fast engine finishes every random program in the same
     /// architectural state as the reference ISS.
     #[test]
     fn fast_engines_match_iss_on_random_programs(
@@ -320,16 +313,14 @@ proptest! {
             matches!(iss.exit(), CoreExit::Ebreak { .. }),
             "ISS exit: {}", iss.exit()
         );
-        for mode in [ExecMode::Fast, ExecMode::hybrid_default()] {
-            let fast = run_fast(&prog, 0, mode);
-            for r in Reg::all() {
-                prop_assert_eq!(fast.reg(r), iss.reg(r), "register {} ({:?})", r, mode);
-            }
-            prop_assert_eq!(fast.pc(), iss.pc(), "pc ({:?})", mode);
-            prop_assert_eq!(fast.exit(), iss.exit(), "exit ({:?})", mode);
-            prop_assert_eq!(fast.executed(), iss.executed(), "retired ({:?})", mode);
-            prop_assert_eq!(fast.csr(addr::MSCRATCH), iss.csr(addr::MSCRATCH));
-            prop_assert_eq!(fast.mem.digest(), iss.mem.digest(), "memory digest ({:?})", mode);
+        let fast = run_fast(&prog, 0);
+        for r in Reg::all() {
+            prop_assert_eq!(fast.reg(r), iss.reg(r), "register {}", r);
         }
+        prop_assert_eq!(fast.pc(), iss.pc(), "pc");
+        prop_assert_eq!(fast.exit(), iss.exit(), "exit");
+        prop_assert_eq!(fast.executed(), iss.executed(), "retired");
+        prop_assert_eq!(fast.csr(addr::MSCRATCH), iss.csr(addr::MSCRATCH));
+        prop_assert_eq!(fast.mem.digest(), iss.mem.digest(), "memory digest");
     }
 }

@@ -11,16 +11,14 @@
 //! kernel and runs the two-program relational prover, certifying
 //! encoding-disjoint loop pairs diverse **at stagger 0**.
 //! The `transform` subcommand reports what the diversity transform did to a
-//! kernel (and `--verify` differentially checks the twin on the ISS); the
-//! `bench` subcommand runs a pinned performance suite and writes/compares a
-//! `BENCH_<date>.json` baseline.
+//! kernel (and `--verify` differentially checks the twin on the ISS).
 //! The `trace` subcommand records a Chrome trace-event timeline
 //! (chrome://tracing, Perfetto) of a monitored run; `stats` emits the full
 //! metric snapshot, optionally with a wall-clock self-profile.
 //!
 //! ```text
 //! safedm-sim program.s [--base 0x80000000] [--stagger N [--delayed-core C]]
-//!            [--engine cycle|fast|hybrid]
+//!            [--engine cycle|fast]
 //!            [--vcd out.vcd [--vcd-cycles N]] [--trace N] [--json]
 //! safedm-sim --kernel bitcount [...]
 //! safedm-sim analyze <program.s | --kernel NAME> [--stagger N] [--gate]
@@ -29,26 +27,21 @@
 //! safedm-sim analyze --kernel all [--sarif FILE] [--baseline FILE]
 //! safedm-sim analyze --prove --pair --kernel <NAME | all> [--seed S] [--level L]
 //! safedm-sim transform <NAME | all> [--seed S] [--level L] [--verify]
-//! safedm-sim bench [--out FILE] [--date YYYY-MM-DD] [--quick]
-//!            [--check BASELINE [--tolerance F]] [--history [--bench-dir DIR]]
 //! safedm-sim trace <kernel | program.s> [--cycles N] [--out FILE] [--jsonl]
 //! safedm-sim stats <kernel | program.s> [--cycles N] [--json] [--profile]
 //! safedm-sim campaign [--kernels a,b] [--staggers 0,100] [--runs N]
-//!            [--root-seed S] [--jobs N] [--engine cycle|fast|hybrid]
+//!            [--root-seed S] [--jobs N] [--engine cycle|fast]
 //!            [--json] [--profile]
 //!            [--events-out FILE [--events-timing]] [--progress]
 //! safedm-sim serve [--addr HOST:PORT] [--jobs N]
 //!            [--cache-cap N] [--cache-dir DIR]
-//! safedm-sim report --events FILE [--metrics FILE] [--bench-dir DIR]
-//!            [--html FILE] [--top N] [--tolerance F]
+//! safedm-sim report --events FILE [--metrics FILE] [--html FILE] [--top N]
 //! safedm-sim --list-kernels
 //! ```
 //!
 //! `--engine` selects the execution engine (see `safedm_soc::fastpath`):
 //! `cycle` (default) is the cycle-accurate monitored model; `fast` is the
-//! block-compiled functional twin with 1-IPC proxy counters; `hybrid`
-//! block-compiles only outside monitor-relevant windows, so monitored runs
-//! stay byte-identical to `cycle`.
+//! block-compiled functional twin with 1-IPC proxy counters.
 //!
 //! The `campaign` subcommand builds a `safedm-api/1`
 //! [`CampaignSpec`](safedm::campaign::spec) from its flags and executes it
@@ -68,11 +61,10 @@
 //! campaign keeps stderr quiet.
 //!
 //! The `report` subcommand consumes a campaign event stream (plus an
-//! optional metrics snapshot and the committed `BENCH_*.json` history) and
-//! renders the campaign telemetry report — per-kernel summary, a
-//! diversity/episode heatmap, the slowest cells, a stall-cause Pareto, and
-//! the bench trend — to the terminal and optionally as a self-contained
-//! HTML page (`--html`).
+//! optional metrics snapshot) and renders the campaign telemetry report —
+//! per-kernel summary, a diversity/episode heatmap, the slowest cells and
+//! a stall-cause Pareto — to the terminal and optionally as a
+//! self-contained HTML page (`--html`).
 
 use std::process::ExitCode;
 
@@ -84,9 +76,8 @@ use safedm::campaign::spec::{CampaignSpec, Protocol};
 use safedm::campaign::Progress;
 use safedm::monitor::{MonitoredSoc, ObsConfig, ReportMode, RunObserver, SafeDmConfig};
 use safedm::obs::events::{CellEvent, Timing};
-use safedm::obs::json::JsonValue;
 use safedm::obs::SelfProfiler;
-use safedm::soc::fastpath::{ExecMode, FastTwin};
+use safedm::soc::fastpath::FastTwin;
 use safedm::soc::{Engine, ProbeVcd, SocConfig};
 use safedm::tacle::{
     build_kernel_program, build_twin_pair, build_twin_program, kernels, HarnessConfig,
@@ -103,7 +94,7 @@ use safedm_bench::{args, service};
 fn usage() -> &'static str {
     "usage: safedm-sim <program.s | --kernel NAME | --list-kernels>\n\
      \x20      [--base ADDR] [--stagger NOPS [--delayed-core 0|1]]\n\
-     \x20      [--engine cycle|fast|hybrid]\n\
+     \x20      [--engine cycle|fast]\n\
      \x20      [--vcd FILE [--vcd-cycles N]] [--trace N] [--max-cycles N] [--json]\n\
      \x20      safedm-sim analyze <program.s | --kernel NAME | --kernel all>\n\
      \x20      [--base ADDR] [--stagger NOPS] [--gate] [--prove] [--max-cycles N]\n\
@@ -112,24 +103,19 @@ fn usage() -> &'static str {
      \x20      [--sarif FILE] [--baseline FILE] [--write-baseline FILE]\n\
      \x20      safedm-sim transform <NAME | all | --kernel NAME>\n\
      \x20      [--seed S] [--level 0..3] [--verify]\n\
-     \x20      safedm-sim bench\n\
-     \x20      [--out FILE] [--date YYYY-MM-DD] [--quick]\n\
-     \x20      [--check BASELINE [--tolerance F]]\n\
-     \x20      [--history [--bench-dir DIR] [--tolerance F]]\n\
      \x20      safedm-sim trace <kernel | program.s>\n\
      \x20      [--cycles N] [--out FILE] [--jsonl] [--events N] [--interval N]\n\
      \x20      safedm-sim stats <kernel | program.s>\n\
      \x20      [--cycles N] [--json] [--metrics-out FILE] [--profile] [--interval N]\n\
      \x20      safedm-sim campaign\n\
      \x20      [--kernels a,b,..] [--staggers 0,100,..] [--runs N]\n\
-     \x20      [--root-seed S] [--jobs N] [--engine cycle|fast|hybrid]\n\
+     \x20      [--root-seed S] [--jobs N] [--engine cycle|fast]\n\
      \x20      [--json] [--profile]\n\
      \x20      [--events-out FILE [--events-timing]] [--progress]\n\
      \x20      safedm-sim serve\n\
      \x20      [--addr HOST:PORT] [--jobs N] [--cache-cap N] [--cache-dir DIR]\n\
      \x20      safedm-sim report --events FILE\n\
-     \x20      [--metrics FILE] [--bench-dir DIR] [--html FILE]\n\
-     \x20      [--top N] [--tolerance F]"
+     \x20      [--metrics FILE] [--html FILE] [--top N]"
 }
 
 /// Resolves the positional target of a subcommand: a built-in kernel name
@@ -659,17 +645,15 @@ fn run_serve(args: &[String]) -> Result<(), String> {
 
 /// The `report` subcommand: render the campaign telemetry report from an
 /// event stream (`--events`, JSONL as written by `campaign --events-out`
-/// or the bench bins), an optional metrics snapshot (`--metrics`, as
-/// written by `stats --metrics-out`), and the committed `BENCH_*.json`
-/// history (`--bench-dir`). Terminal output always; `--html` additionally
-/// writes a self-contained page.
+/// or the bench bins) and an optional metrics snapshot (`--metrics`, as
+/// written by `stats --metrics-out`). Terminal output always; `--html`
+/// additionally writes a self-contained page.
 fn run_report(args: &[String]) -> Result<(), String> {
     use safedm::obs::{aggregate, report};
 
     let events_path = args::value(args, "--events")
         .ok_or_else(|| "report needs --events FILE (see campaign --events-out)".to_owned())?;
     let top = args::u64_or(args, "--top", 5)?.max(1) as usize;
-    let tolerance = args::f64_or(args, "--tolerance", 0.10)?;
     let text = std::fs::read_to_string(&events_path)
         .map_err(|e| format!("cannot read {events_path}: {e}"))?;
     let events = safedm::obs::events::parse_jsonl(&text)
@@ -706,22 +690,6 @@ fn run_report(args: &[String]) -> Result<(), String> {
         println!("\nstall-cause Pareto ({metrics_path}):");
         print!("{pareto}");
         sections.push(("Stall-cause Pareto".to_owned(), report::html_pre(&pareto)));
-    }
-
-    if let Some(dir) = args::value(args, "--bench-dir") {
-        let (history, warnings) = aggregate::load_bench_history(&dir)?;
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
-        if history.is_empty() {
-            println!("\nbench trend: no BENCH_*.json baselines in {dir}");
-        } else {
-            let trends = aggregate::metric_trends(&history);
-            let (table, _regressed) = report::render_trend(&history, &trends, tolerance);
-            println!("\nbench trend ({dir}):");
-            print!("{table}");
-            sections.push(("Bench trend".to_owned(), report::html_trend(&trends, tolerance)));
-        }
     }
 
     if let Some(html_path) = args::value(args, "--html") {
@@ -831,248 +799,6 @@ fn run_transform(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Civil date from days since the Unix epoch (proleptic Gregorian).
-fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = (if mp < 10 { mp + 3 } else { mp - 9 }) as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn today() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// The `bench` subcommand: a pinned performance suite — simulator
-/// throughput on three kernels, a Table-1-style stagger sweep, and the
-/// latency of both provers — written as `BENCH_<date>.json`. With
-/// `--check BASELINE` the suite runs and fails (direction-aware) on any
-/// metric regressing beyond `--tolerance` (default 10%).
-fn run_bench(args: &[String]) -> Result<(), String> {
-    use std::time::Instant;
-    let reps: u32 = if args::flag(args, "--quick") { 1 } else { 3 };
-    let date = args::value(args, "--date").unwrap_or_else(today);
-    let out_path = args::value(args, "--out").unwrap_or_else(|| format!("BENCH_{date}.json"));
-    let tolerance = args::f64_or(args, "--tolerance", 0.10)?;
-
-    // `--history`: no suite run — scan the committed baselines and render
-    // the per-metric trend (sparkline + delta); a last-step regression
-    // beyond the tolerance is an error, same threshold as `--check`.
-    if args::flag(args, "--history") {
-        let dir = args::value(args, "--bench-dir").unwrap_or_else(|| ".".to_owned());
-        let (history, warnings) = safedm::obs::aggregate::load_bench_history(&dir)?;
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
-        if history.is_empty() {
-            return Err(format!("no BENCH_*.json baselines found in {dir}"));
-        }
-        let trends = safedm::obs::aggregate::metric_trends(&history);
-        let (table, regressed) = safedm::obs::report::render_trend(&history, &trends, tolerance);
-        print!("{table}");
-        if !regressed.is_empty() {
-            return Err(format!(
-                "bench: regression beyond {:.0}% on: {}",
-                tolerance * 100.0,
-                regressed.join(", ")
-            ));
-        }
-        return Ok(());
-    }
-
-    let monitored_run = |prog: &Program, golden: u64| -> Result<u64, String> {
-        let mut sys = MonitoredSoc::new(
-            SocConfig::default(),
-            SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },
-        );
-        sys.load_program(prog);
-        sys.write_ctrl(1 | (safedm::monitor::regs::encode_mode(ReportMode::Polling) << 1));
-        let out = sys.run(500_000_000);
-        if out.run.timed_out
-            || (0..2).any(|c| sys.soc().core(c).reg(safedm::isa::Reg::A0) != golden)
-        {
-            return Err("bench run failed its checksum".to_owned());
-        }
-        Ok(out.run.cycles)
-    };
-
-    // (name, value, unit, better-direction)
-    let mut metrics: Vec<(String, f64, &'static str, &'static str)> = Vec::new();
-
-    // 1. Simulator throughput: simulated cycles per wall-second on three
-    //    pinned kernels at stagger 0, best-of-`reps`.
-    for name in ["fac", "bitcount", "insertsort"] {
-        let k = kernels::by_name(name).expect("pinned kernel exists");
-        let prog = build_kernel_program(k, &HarnessConfig::default());
-        let golden = (k.reference)();
-        let mut best = f64::INFINITY;
-        let mut cycles = 0u64;
-        for _ in 0..reps {
-            let t = Instant::now();
-            cycles = monitored_run(&prog, golden)?;
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push((format!("sim_mcps_{name}"), cycles as f64 / best / 1e6, "Mcyc/s", "higher"));
-    }
-
-    // 2. Table-1-style stagger sweep wall-clock: bitcount across the four
-    //    canonical nop staggers, on the cycle-accurate monitored model and
-    //    on the block-compiled fast engine over the *same* pre-built
-    //    programs, plus the headline speedup ratio between the two.
-    {
-        let k = kernels::by_name("bitcount").expect("pinned kernel exists");
-        let golden = (k.reference)();
-        let progs: Vec<Program> = [0usize, 100, 1000, 10_000]
-            .into_iter()
-            .map(|nops| {
-                let stagger = (nops > 0).then_some(StaggerConfig { nops, delayed_core: 1 });
-                build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() })
-            })
-            .collect();
-        let mut cycle_best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            for prog in &progs {
-                monitored_run(prog, golden)?;
-            }
-            cycle_best = cycle_best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push(("table1_wall_ms".to_owned(), cycle_best * 1e3, "ms", "lower"));
-        let mut fast_best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            for prog in &progs {
-                let mut twin = FastTwin::new(ExecMode::Fast);
-                twin.load_program(prog);
-                let out = twin.run(500_000_000);
-                if out.timed_out || (0..2).any(|c| twin.hart(c).reg(safedm::isa::Reg::A0) != golden)
-                {
-                    return Err("bench fast-engine run failed its checksum".to_owned());
-                }
-            }
-            fast_best = fast_best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push(("table1_fast_wall_ms".to_owned(), fast_best * 1e3, "ms", "lower"));
-        metrics.push(("fastpath_speedup_table1".to_owned(), cycle_best / fast_best, "x", "higher"));
-    }
-
-    // 3. Stagger-prover latency: analyze + prove every built-in kernel.
-    {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            for k in kernels::all() {
-                let prog = build_kernel_program(k, &HarnessConfig::default());
-                let cfg = AnalysisConfig::default();
-                let report = analyze(&prog, &cfg);
-                let _ = safedm::analysis::prove(&report.program, &report.cfg, &cfg);
-            }
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push(("prover_ms_all_kernels".to_owned(), best * 1e3, "ms", "lower"));
-    }
-
-    // 4. Pair-prover latency: twin build + relational proof over the whole
-    // suite (per-kernel times are sub-millisecond and noise-bound; the
-    // full sweep is a stable gateable number).
-    {
-        let tcfg = TwinConfig::default();
-        let pcfg = AnalysisConfig { pair_mode: true, ..AnalysisConfig::default() };
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            for k in kernels::all() {
-                let tw = build_twin_program(k, &tcfg);
-                let report = analyze(&tw.program, &pcfg);
-                let pr = safedm::analysis::prove_pair(&report.program, &report.cfg, &tw.map, &pcfg);
-                if !pr.map_ok {
-                    return Err(format!("bench: pair prover rejected the {} twin map", k.name));
-                }
-            }
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push(("pair_prover_ms_all_kernels".to_owned(), best * 1e3, "ms", "lower"));
-    }
-
-    println!("bench suite ({date}, best of {reps}):");
-    for (name, value, unit, better) in &metrics {
-        println!("  {name:<24} {value:>12.3} {unit:<7} (better: {better})");
-    }
-
-    if let Some(base_path) = args::value(args, "--check") {
-        let text = std::fs::read_to_string(&base_path)
-            .map_err(|e| format!("cannot read {base_path}: {e}"))?;
-        let base = safedm::obs::json::parse(&text)
-            .map_err(|e| format!("cannot parse {base_path}: {e:?}"))?;
-        let mut regressions = Vec::new();
-        println!("check vs {base_path} (tolerance {:.0}%):", tolerance * 100.0);
-        for (name, value, _unit, better) in &metrics {
-            let Some(old) = base
-                .get("metrics")
-                .and_then(|m| m.get(name))
-                .and_then(|e| e.get("value"))
-                .and_then(JsonValue::as_f64)
-            else {
-                println!("  {name:<24} (not in baseline, skipped)");
-                continue;
-            };
-            // Relative change in the *bad* direction for this metric.
-            let delta = if *better == "higher" { (old - value) / old } else { (value - old) / old };
-            let verdict = if delta > tolerance { "REGRESSED" } else { "ok" };
-            println!("  {name:<24} baseline {old:>12.3}, now {value:>12.3}  {verdict}");
-            if delta > tolerance {
-                regressions.push(name.clone());
-            }
-        }
-        if !regressions.is_empty() {
-            return Err(format!(
-                "bench: regression beyond {:.0}% on: {}",
-                tolerance * 100.0,
-                regressions.join(", ")
-            ));
-        }
-        println!("bench: no metric regressed beyond {:.0}%", tolerance * 100.0);
-        return Ok(());
-    }
-
-    let doc = JsonValue::Obj(vec![
-        ("schema".to_owned(), JsonValue::Str("safedm-bench/1".to_owned())),
-        ("date".to_owned(), JsonValue::Str(date)),
-        ("reps".to_owned(), JsonValue::Num(f64::from(reps))),
-        (
-            "metrics".to_owned(),
-            JsonValue::Obj(
-                metrics
-                    .into_iter()
-                    .map(|(name, value, unit, better)| {
-                        (
-                            name,
-                            JsonValue::Obj(vec![
-                                ("value".to_owned(), JsonValue::Num(value)),
-                                ("unit".to_owned(), JsonValue::Str(unit.to_owned())),
-                                ("better".to_owned(), JsonValue::Str(better.to_owned())),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    std::fs::write(&out_path, doc.render()).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    eprintln!("wrote {out_path}");
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args::flag(&args, "--help") {
@@ -1102,9 +828,6 @@ fn run() -> Result<(), String> {
     }
     if args.first().is_some_and(|a| a == "transform") {
         return run_transform(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "bench") {
-        return run_bench(&args[1..]);
     }
     if args.first().is_some_and(|a| a == "report") {
         return run_report(&args[1..]);
@@ -1142,11 +865,9 @@ fn run() -> Result<(), String> {
         // Block-compiled functional twin: no pipeline, no monitor probes —
         // instruction-count proxies stand in for the per-cycle verdicts.
         if args::value(&args, "--vcd").is_some() || args::opt_u64(&args, "--trace")?.is_some() {
-            return Err(
-                "--vcd/--trace need the pipeline model; use --engine cycle or hybrid".to_owned()
-            );
+            return Err("--vcd/--trace need the pipeline model; use --engine cycle".to_owned());
         }
-        let mut twin = FastTwin::new(ExecMode::Fast);
+        let mut twin = FastTwin::new();
         twin.load_program(&prog);
         let out = twin.run(max_cycles);
         let a0 = [twin.hart(0).reg(safedm::isa::Reg::A0), twin.hart(1).reg(safedm::isa::Reg::A0)];
@@ -1176,10 +897,6 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    // `cycle` and `hybrid` share the monitored pipeline path: the whole run
-    // is monitor-observed, so hybrid's conservative "always-slow in guarded
-    // regions" rule keeps it on the cycle-accurate model throughout —
-    // verdicts stay byte-identical by construction.
     let mut sys = MonitoredSoc::new(
         SocConfig::default(),
         SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },

@@ -7,13 +7,12 @@
 //! serial baseline, a one-worker engine run, and a four-worker engine run,
 //! and comparing the bytes, across two root seeds.
 
-use safedm::obs::events::{to_jsonl, CellEvent, Timing};
+use safedm::obs::events::{to_jsonl, Timing};
 use safedm::soc::Engine;
 use safedm::tacle::kernels;
 use safedm_bench::experiments::{
     ccf_metrics, json, render_table1, summarize_table1, table1_cells, table1_events,
-    table1_metrics, table1_rows_from_runs, table1_run_cells_engine, table1_serial,
-    table1_with_jobs,
+    table1_metrics, table1_run_cells, table1_serial, table1_with_jobs,
 };
 use safedm_faults::{run_injection, Campaign, CampaignConfig};
 
@@ -62,59 +61,6 @@ fn table1_legacy_seed_mode_matches_serial_protocol() {
     assert_eq!(render_table1(&serial), render_table1(&jobs4));
 }
 
-/// Serialises an event stream with the `engine` field normalised to
-/// `cycle` and wall-clock stripped: everything the monitor computed,
-/// minus the two fields that legitimately differ across engines/runs.
-fn events_normalised(events: &[CellEvent]) -> String {
-    let norm: Vec<CellEvent> =
-        events.iter().map(|e| CellEvent { engine: "cycle".to_owned(), ..e.clone() }).collect();
-    to_jsonl(&norm, Timing::Strip)
-}
-
-#[test]
-fn hybrid_engine_is_byte_identical_to_cycle_on_table1() {
-    // The hybrid engine's conservative rule — cycle-accurate inside every
-    // monitor-relevant window, and a Table I cell is monitored end to end —
-    // makes its verdicts byte-identical to the cycle engine's, across
-    // worker counts. Only the recorded `engine` tag may differ.
-    let ks = table1_kernels();
-    let dm = safedm::monitor::SafeDmConfig::default();
-    let cells = table1_cells(&ks, Some(1));
-    let (runs_cycle, timings_cycle) = table1_run_cells_engine(&cells, dm, 1, None, Engine::Cycle);
-    let rows_cycle = table1_rows_from_runs(&ks, &cells, &runs_cycle);
-    let events_cycle =
-        events_normalised(&table1_events(&cells, &runs_cycle, &timings_cycle, Engine::Cycle));
-
-    for jobs in [1usize, 4] {
-        let (runs_hybrid, timings_hybrid) =
-            table1_run_cells_engine(&cells, dm, jobs, None, Engine::Hybrid);
-        assert_eq!(runs_cycle, runs_hybrid, "jobs={jobs}: per-cell summaries");
-        let rows_hybrid = table1_rows_from_runs(&ks, &cells, &runs_hybrid);
-        assert_eq!(
-            render_table1(&rows_cycle),
-            render_table1(&rows_hybrid),
-            "jobs={jobs}: rendered rows"
-        );
-        assert_eq!(
-            json::table1_document(&rows_cycle, &summarize_table1(&rows_cycle)),
-            json::table1_document(&rows_hybrid, &summarize_table1(&rows_hybrid)),
-            "jobs={jobs}: JSON document"
-        );
-        assert_eq!(
-            table1_metrics(&rows_cycle).snapshot().to_json(),
-            table1_metrics(&rows_hybrid).snapshot().to_json(),
-            "jobs={jobs}: metric snapshot"
-        );
-        let events_hybrid = events_normalised(&table1_events(
-            &cells,
-            &runs_hybrid,
-            &timings_hybrid,
-            Engine::Hybrid,
-        ));
-        assert_eq!(events_cycle, events_hybrid, "jobs={jobs}: normalised event stream");
-    }
-}
-
 #[test]
 fn fast_engine_is_deterministic_across_jobs() {
     // The fast engine's counters are instruction-count proxies, not cycle
@@ -123,8 +69,8 @@ fn fast_engine_is_deterministic_across_jobs() {
     let ks = table1_kernels();
     let dm = safedm::monitor::SafeDmConfig::default();
     let cells = table1_cells(&ks, Some(1));
-    let (runs_1, timings_1) = table1_run_cells_engine(&cells, dm, 1, None, Engine::Fast);
-    let (runs_4, timings_4) = table1_run_cells_engine(&cells, dm, 4, None, Engine::Fast);
+    let (runs_1, timings_1) = table1_run_cells(&cells, dm, 1, None, Engine::Fast);
+    let (runs_4, timings_4) = table1_run_cells(&cells, dm, 4, None, Engine::Fast);
     assert_eq!(runs_1, runs_4, "fast engine: jobs=1 vs jobs=4 summaries");
     assert_eq!(
         to_jsonl(&table1_events(&cells, &runs_1, &timings_1, Engine::Fast), Timing::Strip),

@@ -7,9 +7,11 @@
 //! entirely from the content-addressed result cache — same bytes, zero
 //! re-simulation.
 
+use std::sync::Mutex;
 use std::time::Duration;
 
-use safedm::campaign::spec::{CampaignSpec, Protocol};
+use safedm::campaign::cache::ResultCache;
+use safedm::campaign::spec::{CampaignSpec, CellSpec, Protocol};
 use safedm_bench::http::{ServeConfig, Server};
 use safedm_bench::service::{self, RunOptions};
 use safedm_sdk::{Client, SdkError};
@@ -79,6 +81,107 @@ fn served_events_match_local_run_and_resubmission_is_all_cache_hits() {
     assert_eq!(hinted.submission.spec_digest, cold.submission.spec_digest);
     assert_eq!((hinted.result.cache_hits, hinted.result.cache_misses), (4, 0));
     assert_eq!(hinted.lines, cold.lines);
+}
+
+#[test]
+fn engine_spellings_share_event_lines_and_cache_entries() {
+    // `Engine::parse` trims the name and reads the retired `hybrid` as
+    // `cycle`. Cells must carry the canonical name, so every spelling of
+    // the cycle engine yields the same bytes and the same cache keys.
+    let spec = CampaignSpec {
+        kernels: vec!["fac".to_owned()],
+        staggers: vec![0],
+        runs: 2,
+        jobs: Some(1),
+        ..four_cell_spec()
+    };
+    let cache = Mutex::new(ResultCache::new(64));
+    let cached = RunOptions { cache: Some(&cache), ..RunOptions::default() };
+    let cycle = service::run_spec(&spec, &cached).expect("cycle run");
+    assert_eq!((cycle.cache.hits, cycle.cache.misses), (0, 2));
+    for name in [" cycle ", "hybrid"] {
+        let alias = CampaignSpec { engine: name.to_owned(), ..spec.clone() };
+        let fresh = service::run_spec(&alias, &RunOptions::default()).expect("uncached run");
+        assert_eq!(fresh.lines, cycle.lines, "engine `{name}`: event lines differ from `cycle`");
+        let replay = service::run_spec(&alias, &cached).expect("cached run");
+        assert_eq!(replay.lines, cycle.lines);
+        assert_eq!(
+            (replay.cache.hits, replay.cache.misses),
+            (2, 0),
+            "engine `{name}` forked the result cache"
+        );
+    }
+}
+
+/// Every cell's cache key, in index order.
+fn cell_keys(spec: &CampaignSpec) -> Vec<CellSpec> {
+    service::prepare(spec).expect("prepare").cells.into_iter().map(|c| c.spec).collect()
+}
+
+#[test]
+fn table1_cells_key_on_the_canonical_engine_name() {
+    // The Table I protocol pins its own staggers and runs (10 cells per
+    // kernel). Keys are fixed when the spec is prepared, before any cell
+    // runs, so comparing them needs no simulation.
+    let spec = CampaignSpec {
+        protocol: Protocol::Table1,
+        kernels: vec!["fac".to_owned()],
+        ..four_cell_spec()
+    };
+    let keys = cell_keys(&spec);
+    assert_eq!(keys.len(), 10);
+    assert!(keys.iter().all(|k| k.engine == "cycle"), "keys: {keys:?}");
+    for name in [" cycle ", "hybrid"] {
+        let alias = CampaignSpec { engine: name.to_owned(), ..spec.clone() };
+        assert_eq!(cell_keys(&alias), keys, "engine `{name}`: Table I keys differ from `cycle`");
+    }
+}
+
+#[test]
+fn ccf_cells_key_on_the_canonical_engine_name() {
+    // One CCF cell per kernel; its fault-injection trials are too slow for
+    // an unoptimised test build, so this compares the prepared keys only.
+    let spec = CampaignSpec {
+        protocol: Protocol::Ccf,
+        kernels: vec!["fac".to_owned(), "bitcount".to_owned()],
+        ..four_cell_spec()
+    };
+    let keys = cell_keys(&spec);
+    assert_eq!(keys.len(), 2);
+    assert!(keys.iter().all(|k| k.engine == "cycle"), "keys: {keys:?}");
+    for name in [" cycle ", "hybrid"] {
+        let alias = CampaignSpec { engine: name.to_owned(), ..spec.clone() };
+        assert_eq!(cell_keys(&alias), keys, "engine `{name}`: CCF keys differ from `cycle`");
+    }
+}
+
+#[test]
+fn fast_and_cycle_cells_never_share_cache_entries() {
+    // The engine is part of every cell's identity: the fast engine's proxy
+    // counters must never be replayed as cycle-accurate results, or the
+    // other way round.
+    let spec = CampaignSpec {
+        kernels: vec!["fac".to_owned()],
+        staggers: vec![0],
+        runs: 2,
+        jobs: Some(1),
+        ..four_cell_spec()
+    };
+    let cache = Mutex::new(ResultCache::new(64));
+    let cached = RunOptions { cache: Some(&cache), ..RunOptions::default() };
+    let cycle = service::run_spec(&spec, &cached).expect("cycle run");
+    let fast_spec = CampaignSpec { engine: "fast".to_owned(), ..spec.clone() };
+    let fast = service::run_spec(&fast_spec, &cached).expect("fast run");
+    assert_eq!((fast.cache.hits, fast.cache.misses), (0, 2), "fast run hit cycle entries");
+    assert!(fast.lines.iter().all(|l| l.contains("\"engine\":\"fast\"")), "{:?}", fast.lines);
+    assert_ne!(fast.lines, cycle.lines);
+
+    // Each engine replays only its own entries.
+    for (s, first) in [(&spec, &cycle), (&fast_spec, &fast)] {
+        let replay = service::run_spec(s, &cached).expect("cached run");
+        assert_eq!((replay.cache.hits, replay.cache.misses), (2, 0), "engine `{}`", s.engine);
+        assert_eq!(replay.lines, first.lines);
+    }
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Integration tests of the campaign telemetry pipeline: property-based
 //! round-trips of the event JSONL codec (including cycle counts past
 //! 2^53, where a float-only JSON layer would corrupt them), byte-identity
-//! of the event stream across worker counts, `safedm-bench/1` baseline
-//! validation behind `bench --history`, HTML report structure, and a
+//! of the event stream across worker counts, HTML report structure, and a
 //! golden pin of the terminal report sections.
 //!
 //! Regenerate the golden fixture deliberately with
@@ -12,13 +11,10 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use safedm::monitor::SafeDmConfig;
-use safedm::obs::aggregate::{
-    heatmap, load_bench_history, metric_trends, parse_bench_doc, slowest_cells, summarize_by_kernel,
-};
+use safedm::obs::aggregate::{heatmap, slowest_cells, summarize_by_kernel};
 use safedm::obs::events::{parse_jsonl, to_jsonl, CellEvent, Timing};
 use safedm::obs::report::{
     html_escape, html_heatmap, html_page, render_heatmap, render_kernel_table, render_slowest,
-    render_trend, sparkline,
 };
 use safedm::tacle::kernels;
 use safedm_bench::experiments::{table1_cells, table1_events, table1_run_cells};
@@ -111,122 +107,12 @@ fn event_stream_is_byte_identical_across_jobs() {
         ["fac", "bitcount"].iter().map(|n| kernels::by_name(n).expect("kernel")).collect();
     let dm = SafeDmConfig::default();
     let cells = table1_cells(&ks, Some(7));
-    let (runs1, times1) = table1_run_cells(&cells, dm, 1, None);
-    let (runs4, times4) = table1_run_cells(&cells, dm, 4, None);
+    let (runs1, times1) = table1_run_cells(&cells, dm, 1, None, Engine::Cycle);
+    let (runs4, times4) = table1_run_cells(&cells, dm, 4, None, Engine::Cycle);
     let stream1 = to_jsonl(&table1_events(&cells, &runs1, &times1, Engine::Cycle), Timing::Strip);
     let stream4 = to_jsonl(&table1_events(&cells, &runs4, &times4, Engine::Cycle), Timing::Strip);
     assert!(!stream1.is_empty());
     assert_eq!(stream1, stream4, "event stream differs between --jobs 1 and --jobs 4");
-}
-
-#[test]
-fn bench_history_rejects_malformed_baselines() {
-    for (text, needle) in [
-        ("not json", "JSON error"),
-        ("{\"date\":\"2026-01-01\",\"metrics\":{}}", "missing `schema`"),
-        ("{\"schema\":\"safedm-bench/9\",\"date\":\"x\",\"metrics\":{}}", "unsupported schema"),
-        (
-            "{\"schema\":\"safedm-bench/1\",\"date\":\"x\",\"metrics\":{\"m\":{\"value\":1,\
-             \"better\":\"sideways\"}}}",
-            "invalid `better`",
-        ),
-        (
-            "{\"schema\":\"safedm-bench/1\",\"date\":\"x\",\"metrics\":{\"m\":{\"value\":\"hi\",\
-             \"better\":\"higher\"}}}",
-            "no numeric `value`",
-        ),
-    ] {
-        let err = parse_bench_doc("BENCH_x.json", text).expect_err(text);
-        assert!(err.contains("BENCH_x.json"), "error must name the file: {err}");
-        assert!(err.contains(needle), "`{needle}` not in: {err}");
-    }
-}
-
-/// A throwaway directory under the target dir (kept out of the repo tree,
-/// unique per test to survive parallel execution).
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join(format!("telemetry-scratch-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn bench_doc(date: &str, value: f64) -> String {
-    format!(
-        "{{\"schema\":\"safedm-bench/1\",\"date\":\"{date}\",\"metrics\":{{\
-         \"sim_mcps\":{{\"value\":{value},\"unit\":\"Mcyc/s\",\"better\":\"higher\"}}}}}}"
-    )
-}
-
-#[test]
-fn bench_history_trend_flags_only_real_regressions() {
-    let dir = scratch_dir("trend");
-    for (date, value) in [("2026-01-01", 10.0), ("2026-01-02", 10.4), ("2026-01-03", 8.0)] {
-        std::fs::write(dir.join(format!("BENCH_{date}.json")), bench_doc(date, value))
-            .expect("write baseline");
-    }
-    let (history, warnings) =
-        load_bench_history(dir.to_str().expect("utf-8 path")).expect("load history");
-    assert_eq!(history.len(), 3, "chronological scan of BENCH_*.json");
-    assert!(warnings.is_empty(), "no forward baselines here: {warnings:?}");
-    let trends = metric_trends(&history);
-
-    // 10.4 -> 8.0 on a higher-is-better metric is a 23% regression.
-    let (table, regressed) = render_trend(&history, &trends, 0.10);
-    assert_eq!(regressed, vec!["sim_mcps".to_owned()]);
-    assert!(table.contains("REGRESSED"), "verdict rendered: {table}");
-
-    // A looser tolerance accepts the same history.
-    let (_, regressed) = render_trend(&history, &trends, 0.30);
-    assert!(regressed.is_empty());
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_history_load_fails_cleanly_on_a_bad_file() {
-    let dir = scratch_dir("badfile");
-    std::fs::write(dir.join("BENCH_2026-01-01.json"), "{").expect("write baseline");
-    let err =
-        load_bench_history(dir.to_str().expect("utf-8 path")).expect_err("malformed baseline");
-    assert!(err.contains("BENCH_2026-01-01.json"), "error names the file: {err}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_history_skips_forward_schema_baselines_with_a_warning() {
-    let dir = scratch_dir("forward");
-    std::fs::write(dir.join("BENCH_2026-01-01.json"), bench_doc("2026-01-01", 10.0))
-        .expect("write baseline");
-    // A baseline from a future toolchain: schema bumped, body shape
-    // unknown to this binary. Must be skipped, not fatal.
-    std::fs::write(
-        dir.join("BENCH_2026-01-02.json"),
-        "{\"schema\":\"safedm-bench/2\",\"date\":\"2026-01-02\",\"metrics\":7}",
-    )
-    .expect("write forward baseline");
-    // But an *unknown* (non-versioned) schema is still a hard error.
-    let (history, warnings) =
-        load_bench_history(dir.to_str().expect("utf-8 path")).expect("forward baseline tolerated");
-    assert_eq!(history.len(), 1, "only the understood baseline loads");
-    assert_eq!(warnings.len(), 1);
-    assert!(
-        warnings[0].contains("BENCH_2026-01-02.json") && warnings[0].contains("safedm-bench/2"),
-        "warning names file and schema: {}",
-        warnings[0]
-    );
-
-    std::fs::write(
-        dir.join("BENCH_2026-01-03.json"),
-        "{\"schema\":\"other/9\",\"date\":\"2026-01-03\",\"metrics\":{}}",
-    )
-    .expect("write alien baseline");
-    let err = load_bench_history(dir.to_str().expect("utf-8 path"))
-        .expect_err("alien schema still errors");
-    assert!(err.contains("other/9"), "error names the schema: {err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A small synthetic event stream with fixed counters: machine-independent
@@ -317,11 +203,4 @@ fn html_report_is_a_self_contained_page() {
         assert!(page.contains(kernel), "heatmap row for {kernel}");
     }
     assert_eq!(html_escape("a<b&c>d"), "a&lt;b&amp;c&gt;d");
-}
-
-#[test]
-fn sparkline_spans_the_ramp_and_marks_holes() {
-    let line = sparkline(&[Some(0.0), None, Some(1.0)]);
-    assert_eq!(line.chars().count(), 3);
-    assert!(line.contains('·'), "holes render as ·: {line}");
 }
