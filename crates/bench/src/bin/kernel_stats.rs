@@ -29,9 +29,8 @@ fn characterize(prog: &safedm_asm::Program) -> Mix {
     loop {
         let pc = iss.pc();
         let word = iss.mem.read_word(safedm_soc::MemSpace::Code, pc);
-        if !iss.step() {
-            break;
-        }
+        // The instruction `step` halts on (the kernel's `ebreak`) executed too.
+        let running = iss.step();
         mix.total += 1;
         match safedm_isa::decode(word) {
             Ok(i) if i.is_mem() => mix.mem += 1,
@@ -40,8 +39,12 @@ fn characterize(prog: &safedm_asm::Program) -> Mix {
             Ok(Inst::Csr { .. } | Inst::CsrImm { .. } | Inst::Fence) => mix.system += 1,
             _ => {}
         }
+        if !running {
+            break;
+        }
         assert!(mix.total < 100_000_000, "runaway kernel");
     }
+    assert_eq!(mix.total, iss.executed(), "every executed instruction is counted");
     mix
 }
 
@@ -66,6 +69,7 @@ fn main() {
             soc.load_program(&prog);
             let r = soc.run(400_000_000);
             assert!(r.all_clean(), "{}: {:?}", k.name, r.exits);
+            assert_eq!(mix.total, soc.core(0).retired(), "{}: ISS vs pipeline count", k.name);
 
             let row = format!(
                 "{:<16} {:>10} {:>7.1}% {:>7.1}% {:>7.1}% {:>10} {:>6.2}\n",

@@ -11,9 +11,9 @@
 //! [--json PATH] [--metrics-out PATH] [--events-out PATH] [--events-timing]
 //! [--progress]`
 //!
-//! `--engine fast` reports the block-compiled engine's functional proxies
-//! instead of the cycle-accurate verdicts (orders of magnitude faster, not
-//! paper-grade — see DESIGN.md §10).
+//! `--engine fast` reports the functional engine's proxies instead of the
+//! cycle-accurate verdicts (several times faster, not paper-grade — see
+//! DESIGN.md §10).
 
 use safedm_bench::args;
 use safedm_bench::experiments::{

@@ -145,14 +145,14 @@ pub fn run_monitored_prebuilt(
     }
 }
 
-/// [`run_monitored_prebuilt`]'s functional analogue on the block-compiled
-/// fast engine: a [`FastTwin`] pair over the same image, reporting the
-/// functional monitor proxies described on [`FastTwin::run`]. `ds_match`
-/// and `is_match` are set to the no-diversity proxy (a functional engine
-/// has no per-cycle signatures to compare separately), and `seed` is
-/// recorded but functionally inert — the fast engine models no memory
-/// jitter, which is exactly why its counters are nominal rather than
-/// comparable with the cycle engine's.
+/// [`run_monitored_prebuilt`]'s functional analogue on the fast engine: a
+/// [`FastTwin`] pair over the same image, reporting the functional monitor
+/// proxies described on [`FastTwin::run`]. `ds_match` and `is_match` are
+/// set to the no-diversity proxy (a functional engine has no per-cycle
+/// signatures to compare separately), and `seed` is recorded but
+/// functionally inert — the fast engine models no memory jitter, which is
+/// exactly why its counters are nominal rather than comparable with the
+/// cycle engine's.
 ///
 /// # Panics
 ///

@@ -206,9 +206,9 @@ fn prepare_grid(
                 let golden = (kernel.reference)();
                 let (cycles, zero_stag, no_div, observed, episodes, ok) = if engine == Engine::Fast
                 {
-                    // Functional twin at block granularity: architecturally
-                    // exact results plus instruction-count diversity
-                    // proxies, no pipeline model.
+                    // Functional twin: architecturally exact results plus
+                    // instruction-count diversity proxies, no pipeline
+                    // model.
                     let mut twin = FastTwin::new();
                     twin.load_program(&prog);
                     let out = twin.run(GRID_RUN_BUDGET);

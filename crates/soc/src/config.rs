@@ -31,16 +31,6 @@ pub enum ArbitrationPolicy {
     FixedPriority,
 }
 
-/// Branch prediction scheme of the fetch/decode front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchPredictor {
-    /// Backward-taken / forward-not-taken static prediction (default).
-    #[default]
-    Btfn,
-    /// Always predict not-taken.
-    AlwaysNotTaken,
-}
-
 /// Full configuration of the MPSoC model.
 ///
 /// The defaults approximate the Cobham Gaisler NOEL-V based platform used in
@@ -92,8 +82,6 @@ pub struct SocConfig {
     /// Cycles a store-buffer entry waits (coalescing window) before the
     /// buffer requests the bus, unless the buffer is full.
     pub store_drain_delay: u32,
-    /// Branch predictor.
-    pub branch_pred: BranchPredictor,
     /// Bus arbitration policy.
     pub arbitration: ArbitrationPolicy,
     /// Amplitude (in cycles) of deterministic pseudo-random main-memory
@@ -123,7 +111,6 @@ impl Default for SocConfig {
             div_latency: 12,
             store_buffer_entries: 4,
             store_drain_delay: 6,
-            branch_pred: BranchPredictor::Btfn,
             arbitration: ArbitrationPolicy::RoundRobin,
             mem_jitter: 0,
             jitter_seed: 0,

@@ -40,8 +40,14 @@ pub struct Iss {
     csrs: CsrFile,
     pc: u64,
     /// Functional memory (owned; campaigns may clone whole ISS states).
+    /// Instructions are fetched from the text decoded at load, so writing
+    /// the code space here does not change what executes.
     pub mem: MainMemory,
     code_range: (u64, u64),
+    /// The text decoded once at load, one entry per 4-byte slot; `Err`
+    /// keeps an undecodable word for the illegal-instruction trap. Stores
+    /// to code trap, so the text cannot change before the next load.
+    text: Vec<Result<Inst, u32>>,
     exit: CoreExit,
     executed: u64,
 }
@@ -57,17 +63,20 @@ impl Iss {
             pc: 0,
             mem: MainMemory::new(),
             code_range: (0, 0),
+            text: Vec::new(),
             exit: CoreExit::Running,
             executed: 0,
         }
     }
 
     /// Loads a program image: text into the shared code space, data into
-    /// this hart's private space; sets the PC to the entry point.
+    /// this hart's private space; decodes the text and sets the PC to the
+    /// entry point.
     pub fn load_program(&mut self, prog: &Program) {
         self.mem.write(MemSpace::Code, prog.text_base, &prog.text);
         self.mem.write(MemSpace::Private(self.hart), prog.data_base, &prog.data);
         self.code_range = (prog.text_base, prog.text_base + prog.text_size());
+        self.text = prog.words().map(|(_, word)| decode(word).map_err(|_| word)).collect();
         self.pc = prog.entry;
     }
 
@@ -126,10 +135,9 @@ impl Iss {
             self.exit = CoreExit::Trap(TrapCause::FetchFault { pc });
             return false;
         }
-        let word = self.mem.read_word(MemSpace::Code, pc);
-        let inst = match decode(word) {
+        let inst = match self.text[((pc - self.code_range.0) / 4) as usize] {
             Ok(i) => i,
-            Err(_) => {
+            Err(word) => {
                 self.exit = CoreExit::Trap(TrapCause::IllegalInstruction { pc, word });
                 return false;
             }
@@ -353,6 +361,36 @@ mod tests {
             a.ebreak();
         });
         assert!(matches!(iss.exit(), CoreExit::Trap(TrapCause::StoreToCode { .. })));
+    }
+
+    #[test]
+    fn undecodable_word_traps_with_that_word() {
+        let iss = run_prog(|a| {
+            a.li(Reg::A0, 1);
+            a.word(0xffff_ffff);
+            a.ebreak();
+        });
+        let cause = TrapCause::IllegalInstruction { pc: 0x8000_0004, word: 0xffff_ffff };
+        assert_eq!(iss.exit(), CoreExit::Trap(cause));
+        assert_eq!(iss.executed(), 1);
+    }
+
+    #[test]
+    fn reload_runs_the_new_image() {
+        let mut a = Asm::new();
+        let top = a.here("spin");
+        a.addi(Reg::A0, Reg::A0, 1);
+        a.j(top);
+        let mut b = Asm::new();
+        b.li(Reg::A1, 7);
+        b.ebreak();
+        let mut iss = Iss::new(0);
+        iss.load_program(&a.link(0x8000_0000).unwrap());
+        assert!(iss.run(100).is_running());
+        iss.load_program(&b.link(0x8000_0000).unwrap());
+        assert_eq!(iss.run(100), CoreExit::Ebreak { pc: 0x8000_0004 });
+        assert_eq!(iss.reg(Reg::A1), 7);
+        assert_eq!(iss.reg(Reg::A0), 50);
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod vcd;
 pub use apb::ApbRegisterFile;
 pub use bus::{BusOp, BusResult, BusStats, BusUnit, PortId, Uncore, UNITS_PER_CORE};
 pub use cache::TagCache;
-pub use config::{ArbitrationPolicy, BranchPredictor, CacheConfig, SocConfig};
+pub use config::{ArbitrationPolicy, CacheConfig, SocConfig};
 pub use exit::{CoreExit, TrapCause};
 pub use fastpath::Engine;
 pub use iss::Iss;

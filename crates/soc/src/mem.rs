@@ -117,12 +117,6 @@ impl MainMemory {
         u32::from_le_bytes(buf)
     }
 
-    /// Number of backing lines allocated (for memory-footprint assertions).
-    #[must_use]
-    pub fn allocated_lines(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Deterministic digest of all allocated content: FNV-1a over
     /// `(line index, line bytes)` in ascending line order.
     ///

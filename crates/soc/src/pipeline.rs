@@ -18,8 +18,8 @@ use safedm_isa::{
 
 use crate::probe::{CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH};
 use crate::{
-    BranchPredictor, BusOp, BusResult, BusUnit, CoreExit, MemSpace, PortId, RegFile, SbForward,
-    SocConfig, StoreBuffer, TagCache, TrapCause, Uncore,
+    BusOp, BusResult, BusUnit, CoreExit, MemSpace, PortId, RegFile, SbForward, SocConfig,
+    StoreBuffer, TagCache, TrapCause, Uncore,
 };
 
 const F: usize = 0;
@@ -82,6 +82,17 @@ type Group = [Option<Slot>; PIPE_WIDTH];
 
 fn group_empty(g: &Group) -> bool {
     g.iter().all(Option::is_none)
+}
+
+/// `csr` as a CSR instruction at `EX` reads it. CSR writes apply at `WB`,
+/// so the writes of the `older` in-flight groups (`WB`, `XC`, `ME`, oldest
+/// first) are replayed over the committed file before the read.
+fn csr_at_ex(csrs: &CsrFile, older: [&Group; 3], csr: u16) -> u64 {
+    let mut csrs = csrs.clone();
+    for (c, v) in older.into_iter().flatten().flatten().filter_map(|s| s.csr_write) {
+        csrs.write(c, v);
+    }
+    csrs.read(csr).unwrap_or(0)
 }
 
 /// One committed instruction, as recorded by the optional commit trace.
@@ -663,20 +674,15 @@ impl Core {
                     self.flush_stage_f_and_redirect(target);
                     break;
                 }
-                Inst::Branch { offset, .. } => {
-                    let predict_taken = match self.cfg.branch_pred {
-                        BranchPredictor::Btfn => offset < 0,
-                        BranchPredictor::AlwaysNotTaken => false,
-                    };
-                    if predict_taken {
-                        let target = pc.wrapping_add(offset as u64);
-                        self.stages[D][i].as_mut().expect("slot exists").predicted_taken = true;
-                        for j in i + 1..PIPE_WIDTH {
-                            self.stages[D][j] = None;
-                        }
-                        self.flush_stage_f_and_redirect(target);
-                        break;
+                // Static backward-taken / forward-not-taken prediction.
+                Inst::Branch { offset, .. } if offset < 0 => {
+                    let target = pc.wrapping_add(offset as u64);
+                    self.stages[D][i].as_mut().expect("slot exists").predicted_taken = true;
+                    for j in i + 1..PIPE_WIDTH {
+                        self.stages[D][j] = None;
                     }
+                    self.flush_stage_f_and_redirect(target);
+                    break;
                 }
                 _ => {}
             }
@@ -832,8 +838,8 @@ impl Core {
     fn execute_group(&mut self) -> u32 {
         let mut latency = 1u32;
         let mut redirect: Option<u64> = None;
-        for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[EX][i].as_mut() else { continue };
+        let [.., ex, me, xc, wb] = &mut self.stages;
+        for slot in ex.iter_mut().flatten() {
             let inst = slot.inst();
             let pc = slot.pc;
             let (a, b) = (slot.rs1_val, slot.rs2_val);
@@ -877,7 +883,7 @@ impl Core {
                     slot.rs2_val = b; // store data
                 }
                 Inst::Csr { kind, csr, rs1, .. } => {
-                    let old = self.csrs.read(csr).unwrap_or(0);
+                    let old = csr_at_ex(&self.csrs, [wb, xc, me], csr);
                     slot.result = Some(old);
                     let new = match kind {
                         CsrKind::Rw => a,
@@ -890,7 +896,7 @@ impl Core {
                     }
                 }
                 Inst::CsrImm { kind, csr, zimm, .. } => {
-                    let old = self.csrs.read(csr).unwrap_or(0);
+                    let old = csr_at_ex(&self.csrs, [wb, xc, me], csr);
                     slot.result = Some(old);
                     let z = u64::from(zimm);
                     let new = match kind {
@@ -1237,6 +1243,26 @@ mod tests {
         assert!(cyc > 100, "cycle counter must advance: {cyc}");
         assert!((101..110).contains(&ret), "instret at read: {ret}");
         assert_eq!(soc.core(0).retired(), 104);
+    }
+
+    #[test]
+    fn csr_read_sees_older_in_flight_csr_write() {
+        let soc = run_core(|a| {
+            let csrrw = |rd, rs1| Inst::Csr {
+                kind: CsrKind::Rw,
+                rd,
+                rs1,
+                csr: safedm_isa::csr::addr::MSCRATCH,
+            };
+            a.li(Reg::T0, 5);
+            a.li(Reg::T1, 9);
+            a.inst(csrrw(Reg::A0, Reg::T0));
+            a.inst(csrrw(Reg::A1, Reg::T1));
+            a.csrr(Reg::A2, safedm_isa::csr::addr::MSCRATCH);
+            a.ebreak();
+        });
+        let core = soc.core(0);
+        assert_eq!([core.reg(Reg::A0), core.reg(Reg::A1), core.reg(Reg::A2)], [0, 5, 9]);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Differential testing: the cycle-accurate pipeline must compute exactly
 //! the same architectural results as the functional ISS on randomly
-//! generated programs (ALU mixes, memory traffic, forward branches).
+//! generated programs (ALU mixes, memory traffic, forward branches, CSR
+//! traffic).
 
 use proptest::prelude::*;
 use safedm_asm::Asm;
+use safedm_isa::csr::addr;
 use safedm_isa::{AluKind, Reg};
 use safedm_soc::{CoreExit, Iss, MpSoc, SocConfig};
 
@@ -66,6 +68,11 @@ enum Step {
         b: usize,
         skip: usize,
     },
+    /// `csrrw` traffic against the scratch CSR.
+    Scratch {
+        rd: usize,
+        rs1: usize,
+    },
 }
 
 fn any_rr_kind() -> impl Strategy<Value = AluKind> {
@@ -119,7 +126,8 @@ fn any_step() -> impl Strategy<Value = Step> {
         (r.clone(), 0..BUF_DWORDS).prop_map(|(rd, slot)| Step::LoadD { rd, slot }),
         (r.clone(), 0..BUF_DWORDS * 2).prop_map(|(rs, slot)| Step::StoreW { rs, slot }),
         (r.clone(), 0..BUF_DWORDS * 2).prop_map(|(rd, slot)| Step::LoadW { rd, slot }),
-        (r.clone(), r, 1usize..4).prop_map(|(a, b, skip)| Step::SkipIfEq { a, b, skip }),
+        (r.clone(), r.clone(), 1usize..4).prop_map(|(a, b, skip)| Step::SkipIfEq { a, b, skip }),
+        (r.clone(), r).prop_map(|(rd, rs1)| Step::Scratch { rd, rs1 }),
     ]
 }
 
@@ -169,6 +177,14 @@ fn build(steps: &[Step]) -> safedm_asm::Program {
                 let label = a.new_label("skip");
                 a.beq(POOL[x], POOL[b], label);
                 pending.push((label, (idx + 1 + skip).min(steps.len())));
+            }
+            Step::Scratch { rd, rs1 } => {
+                a.inst(safedm_isa::Inst::Csr {
+                    kind: safedm_isa::CsrKind::Rw,
+                    rd: POOL[rd],
+                    rs1: POOL[rs1],
+                    csr: addr::MSCRATCH,
+                });
             }
         }
     }

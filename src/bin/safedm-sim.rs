@@ -41,7 +41,7 @@
 //!
 //! `--engine` selects the execution engine (see `safedm_soc::fastpath`):
 //! `cycle` (default) is the cycle-accurate monitored model; `fast` is the
-//! block-compiled functional twin with 1-IPC proxy counters.
+//! functional twin (two reference-ISS harts) with 1-IPC proxy counters.
 //!
 //! The `campaign` subcommand builds a `safedm-api/1`
 //! [`CampaignSpec`](safedm::campaign::spec) from its flags and executes it
@@ -862,8 +862,8 @@ fn run() -> Result<(), String> {
     };
 
     if engine == Engine::Fast {
-        // Block-compiled functional twin: no pipeline, no monitor probes —
-        // instruction-count proxies stand in for the per-cycle verdicts.
+        // Functional twin: no pipeline, no monitor probes — instruction-count
+        // proxies stand in for the per-cycle verdicts.
         if args::value(&args, "--vcd").is_some() || args::opt_u64(&args, "--trace")?.is_some() {
             return Err("--vcd/--trace need the pipeline model; use --engine cycle".to_owned());
         }
