@@ -137,7 +137,7 @@ impl Uncore {
         Uncore {
             cfg: cfg.clone(),
             l2: TagCache::new(cfg.l2),
-            mem: MainMemory::new(),
+            mem: MainMemory::new(cfg.ram_base, cfg.ram_size),
             ports: (0..cfg.cores * UNITS_PER_CORE).map(|_| Port::default()).collect(),
             active: None,
             rr_next: 0,
@@ -216,34 +216,19 @@ impl Uncore {
         (x % u64::from(self.cfg.mem_jitter + 1)) as u32
     }
 
-    fn grant_latency(&mut self, op: &BusOp) -> u32 {
+    /// Latency of a granted transaction on the folded line `key`, `None`
+    /// for an APB access; looks the line up in L2 and fills it on a miss
+    /// (a line write allocates: fetch, merge, keep).
+    fn grant_latency(&mut self, key: Option<u64>) -> u32 {
+        let Some(key) = key else { return self.cfg.apb_latency };
         let beats = (self.cfg.l2.line_bytes as u32 / 16).max(1) * self.cfg.beat_latency;
-        match op {
-            BusOp::ReadLine { key } => {
-                let hit = self.l2.lookup(*key);
-                if hit {
-                    self.stats.l2_hits += 1;
-                    1 + self.cfg.l2_latency + beats
-                } else {
-                    self.stats.l2_misses += 1;
-                    self.l2.fill(*key);
-                    1 + self.cfg.l2_latency + self.cfg.mem_latency + self.jitter() + beats
-                }
-            }
-            BusOp::WriteLine(entry) => {
-                let key = entry.space.fold(entry.line_addr);
-                let hit = self.l2.lookup(key);
-                if hit {
-                    self.stats.l2_hits += 1;
-                    1 + self.cfg.l2_latency + beats
-                } else {
-                    // write-allocate at L2: fetch, merge, keep
-                    self.stats.l2_misses += 1;
-                    self.l2.fill(key);
-                    1 + self.cfg.l2_latency + self.cfg.mem_latency + self.jitter() + beats
-                }
-            }
-            BusOp::ApbRead { .. } | BusOp::ApbWrite { .. } => self.cfg.apb_latency,
+        if self.l2.lookup(key) {
+            self.stats.l2_hits += 1;
+            1 + self.cfg.l2_latency + beats
+        } else {
+            self.stats.l2_misses += 1;
+            self.l2.fill(key);
+            1 + self.cfg.l2_latency + self.cfg.mem_latency + self.jitter() + beats
         }
     }
 
@@ -334,8 +319,12 @@ impl Uncore {
                 if waiting > 1 {
                     self.stats.contended_cycles += 1;
                 }
-                let op = self.ports[idx].pending.as_ref().expect("checked").clone();
-                let latency = self.grant_latency(&op);
+                let key = match self.ports[idx].pending.as_ref().expect("checked") {
+                    BusOp::ReadLine { key } => Some(*key),
+                    BusOp::WriteLine(entry) => Some(entry.space.fold(entry.line_addr)),
+                    BusOp::ApbRead { .. } | BusOp::ApbWrite { .. } => None,
+                };
+                let latency = self.grant_latency(key);
                 self.active = Some(Active { port: idx, remaining: latency });
                 self.rr_next = (idx + 1) % n;
                 return;

@@ -10,10 +10,58 @@ use safedm_asm::Program;
 use safedm_isa::csr::CsrFile;
 use safedm_isa::{alu, branch_taken, decode, is_aligned, load_value, store_merge, Inst, Reg};
 
-use crate::{CoreExit, MainMemory, MemSpace, TrapCause};
+use crate::{CoreExit, MainMemory, MemSpace, SocConfig, TrapCause};
+
+/// A program's text decoded once at load, shared by the [`Iss`] and the
+/// pipelined cores. Each 4-byte slot keeps its raw word (what the probe
+/// reports and an illegal-instruction trap names) and its decoding, `None`
+/// when the word is undecodable. Stores to code trap, so the text cannot
+/// change before the next load.
+#[derive(Debug, Default)]
+pub(crate) struct Text {
+    base: u64,
+    slots: Vec<(u32, Option<Inst>)>,
+}
+
+impl Text {
+    /// Checks that `prog` fits the RAM window of `cfg`, writes its text into
+    /// the shared code space of `mem` and decodes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image does not fit in RAM.
+    pub(crate) fn load(cfg: &SocConfig, mem: &mut MainMemory, prog: &Program) -> Text {
+        assert!(
+            cfg.in_ram(prog.text_base, prog.text_size().max(1))
+                && (prog.data.is_empty() || cfg.in_ram(prog.data_base, prog.data_size())),
+            "program image outside RAM window"
+        );
+        mem.write(MemSpace::Code, prog.text_base, &prog.text);
+        let slots = prog.words().map(|(_, word)| (word, decode(word).ok())).collect();
+        Text { base: prog.text_base, slots }
+    }
+
+    /// Whether `addr` lies in the text.
+    pub(crate) fn contains(&self, addr: u64) -> bool {
+        addr >= self.base && addr - self.base < 4 * self.slots.len() as u64
+    }
+
+    /// The raw word and its decoding at `pc`, a 4-byte aligned address in
+    /// the text.
+    pub(crate) fn at(&self, pc: u64) -> (u32, Option<Inst>) {
+        self.slots[((pc - self.base) / 4) as usize]
+    }
+}
 
 /// Functional RV64IM interpreter over the same memory-space model as the
-/// pipelined core.
+/// pipelined core, on the RAM and APB windows of [`SocConfig::default`].
+///
+/// Accesses follow the pipeline: outside both windows they trap
+/// [`TrapCause::AccessFault`]; the APB window holds no slaves, so loads from
+/// it read zero and stores to it are dropped, as on an [`MpSoc`] with none
+/// registered.
+///
+/// [`MpSoc`]: crate::MpSoc
 ///
 /// # Examples
 ///
@@ -36,18 +84,15 @@ use crate::{CoreExit, MainMemory, MemSpace, TrapCause};
 #[derive(Debug)]
 pub struct Iss {
     hart: usize,
+    cfg: SocConfig,
     regs: [u64; 32],
     csrs: CsrFile,
     pc: u64,
-    /// Functional memory (owned; campaigns may clone whole ISS states).
-    /// Instructions are fetched from the text decoded at load, so writing
-    /// the code space here does not change what executes.
+    /// Functional memory over the RAM window. Instructions are fetched from
+    /// the text decoded at load, so writing the code space here does not
+    /// change what executes.
     pub mem: MainMemory,
-    code_range: (u64, u64),
-    /// The text decoded once at load, one entry per 4-byte slot; `Err`
-    /// keeps an undecodable word for the illegal-instruction trap. Stores
-    /// to code trap, so the text cannot change before the next load.
-    text: Vec<Result<Inst, u32>>,
+    text: Text,
     exit: CoreExit,
     executed: u64,
 }
@@ -56,14 +101,15 @@ impl Iss {
     /// Creates an ISS for hart `hart` with empty memory.
     #[must_use]
     pub fn new(hart: usize) -> Iss {
+        let cfg = SocConfig::default();
         Iss {
             hart,
             regs: [0; 32],
             csrs: CsrFile::new(hart as u64),
             pc: 0,
-            mem: MainMemory::new(),
-            code_range: (0, 0),
-            text: Vec::new(),
+            mem: MainMemory::new(cfg.ram_base, cfg.ram_size),
+            cfg,
+            text: Text::default(),
             exit: CoreExit::Running,
             executed: 0,
         }
@@ -72,11 +118,13 @@ impl Iss {
     /// Loads a program image: text into the shared code space, data into
     /// this hart's private space; decodes the text and sets the PC to the
     /// entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image does not fit in RAM.
     pub fn load_program(&mut self, prog: &Program) {
-        self.mem.write(MemSpace::Code, prog.text_base, &prog.text);
+        self.text = Text::load(&self.cfg, &mut self.mem, prog);
         self.mem.write(MemSpace::Private(self.hart), prog.data_base, &prog.data);
-        self.code_range = (prog.text_base, prog.text_base + prog.text_size());
-        self.text = prog.words().map(|(_, word)| decode(word).map_err(|_| word)).collect();
         self.pc = prog.entry;
     }
 
@@ -118,11 +166,31 @@ impl Iss {
     }
 
     fn space(&self, addr: u64) -> MemSpace {
-        if addr >= self.code_range.0 && addr < self.code_range.1 {
+        if self.text.contains(addr) {
             MemSpace::Code
         } else {
             MemSpace::Private(self.hart)
         }
+    }
+
+    /// The space a `size`-byte data access at `addr` reaches, checked in
+    /// the pipeline's order; `None` for the slave-less APB window.
+    fn data_space(&self, pc: u64, addr: u64, size: u64) -> Result<Option<MemSpace>, TrapCause> {
+        if !is_aligned(addr, size) {
+            Err(TrapCause::MisalignedAccess { pc, addr })
+        } else if self.cfg.in_apb(addr, size) {
+            Ok(None)
+        } else if self.cfg.in_ram(addr, size) {
+            Ok(Some(self.space(addr)))
+        } else {
+            Err(TrapCause::AccessFault { pc, addr })
+        }
+    }
+
+    /// Halts on `cause`; returns `false` for [`Iss::step`].
+    fn trap(&mut self, cause: TrapCause) -> bool {
+        self.exit = CoreExit::Trap(cause);
+        false
     }
 
     /// Executes one instruction. Returns `false` once halted.
@@ -131,16 +199,12 @@ impl Iss {
             return false;
         }
         let pc = self.pc;
-        if !pc.is_multiple_of(4) || pc < self.code_range.0 || pc >= self.code_range.1 {
-            self.exit = CoreExit::Trap(TrapCause::FetchFault { pc });
-            return false;
+        if !pc.is_multiple_of(4) || !self.text.contains(pc) {
+            return self.trap(TrapCause::FetchFault { pc });
         }
-        let inst = match self.text[((pc - self.code_range.0) / 4) as usize] {
-            Ok(i) => i,
-            Err(word) => {
-                self.exit = CoreExit::Trap(TrapCause::IllegalInstruction { pc, word });
-                return false;
-            }
+        let (word, inst) = self.text.at(pc);
+        let Some(inst) = inst else {
+            return self.trap(TrapCause::IllegalInstruction { pc, word });
         };
         self.executed += 1;
         self.csrs.minstret += 1;
@@ -171,27 +235,26 @@ impl Iss {
             }
             Inst::Load { kind, rd, rs1, offset } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u64);
-                if !is_aligned(addr, kind.size()) {
-                    self.exit = CoreExit::Trap(TrapCause::MisalignedAccess { pc, addr });
-                    return false;
-                }
-                let window = self.mem.read_dword_window(self.space(addr), addr);
+                let window = match self.data_space(pc, addr, kind.size()) {
+                    Ok(space) => space.map_or(0, |s| self.mem.read_dword_window(s, addr)),
+                    Err(cause) => return self.trap(cause),
+                };
                 rd_write(&mut self.regs, rd, load_value(kind, window, addr));
             }
             Inst::Store { kind, rs1, rs2, offset } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u64);
-                if !is_aligned(addr, kind.size()) {
-                    self.exit = CoreExit::Trap(TrapCause::MisalignedAccess { pc, addr });
-                    return false;
+                match self.data_space(pc, addr, kind.size()) {
+                    Ok(Some(MemSpace::Code)) => {
+                        return self.trap(TrapCause::StoreToCode { pc, addr })
+                    }
+                    Ok(Some(space)) => {
+                        let window = self.mem.read_dword_window(space, addr);
+                        let merged = store_merge(kind, window, self.reg(rs2), addr);
+                        self.mem.write(space, addr & !7, &merged.to_le_bytes());
+                    }
+                    Ok(None) => {}
+                    Err(cause) => return self.trap(cause),
                 }
-                if addr >= self.code_range.0 && addr < self.code_range.1 {
-                    self.exit = CoreExit::Trap(TrapCause::StoreToCode { pc, addr });
-                    return false;
-                }
-                let space = self.space(addr);
-                let window = self.mem.read_dword_window(space, addr);
-                let merged = store_merge(kind, window, self.reg(rs2), addr);
-                self.mem.write(space, addr & !7, &merged.to_le_bytes());
             }
             Inst::OpImm { kind, rd, rs1, imm } => {
                 let v = alu(kind, self.reg(rs1), imm as u64);
@@ -253,6 +316,10 @@ impl Iss {
     }
 
     /// Reads a doubleword from this hart's view of memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the RAM window.
     #[must_use]
     pub fn read_dword(&self, addr: u64) -> u64 {
         debug_assert!(addr.is_multiple_of(8));
@@ -361,6 +428,44 @@ mod tests {
             a.ebreak();
         });
         assert!(matches!(iss.exit(), CoreExit::Trap(TrapCause::StoreToCode { .. })));
+    }
+
+    #[test]
+    fn accesses_outside_ram_trap_as_access_faults() {
+        for store in [false, true] {
+            let iss = run_prog(|a| {
+                a.li(Reg::T0, 0x4000_0000);
+                if store {
+                    a.sd(Reg::T0, 0, Reg::T0);
+                } else {
+                    a.ld(Reg::T1, 0, Reg::T0);
+                }
+                a.ebreak();
+            });
+            let cause = TrapCause::AccessFault { pc: 0x8000_0004, addr: 0x4000_0000 };
+            assert_eq!(iss.exit(), CoreExit::Trap(cause), "store: {store}");
+        }
+    }
+
+    #[test]
+    fn slaveless_apb_window_reads_zero_and_drops_stores() {
+        let iss = run_prog(|a| {
+            a.li(Reg::T0, 0xfc00_0100);
+            a.li(Reg::T1, 77);
+            a.sd(Reg::T1, 0, Reg::T0);
+            a.ld(Reg::A0, 0, Reg::T0);
+            a.ebreak();
+        });
+        assert!(matches!(iss.exit(), CoreExit::Ebreak { .. }));
+        assert_eq!(iss.reg(Reg::A0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "program image outside RAM window")]
+    fn image_outside_ram_is_rejected() {
+        let mut a = Asm::new();
+        a.ebreak();
+        Iss::new(0).load_program(&a.link(0x4000_0000).unwrap());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The multiprocessor system-on-chip: cores + uncore, stepped together.
 
+use std::sync::Arc;
+
 use safedm_asm::Program;
 
+use crate::iss::Text;
 use crate::{Core, CoreExit, CoreProbe, MainMemory, MemSpace, SocConfig, Uncore};
 
 /// Outcome of [`MpSoc::run`].
@@ -51,7 +54,8 @@ pub struct MpSoc {
     cores: Vec<Core>,
     uncore: Uncore,
     cycle: u64,
-    code_range: (u64, u64),
+    /// The loaded program's text, decoded once and shared with the cores.
+    text: Arc<Text>,
 }
 
 impl MpSoc {
@@ -66,7 +70,7 @@ impl MpSoc {
         cfg.validate();
         let cores = (0..cfg.cores).map(|i| Core::new(i, &cfg)).collect();
         let uncore = Uncore::new(&cfg);
-        MpSoc { cfg, cores, uncore, cycle: 0, code_range: (0, 0) }
+        MpSoc { cfg, cores, uncore, cycle: 0, text: Arc::default() }
     }
 
     /// The configuration.
@@ -75,25 +79,19 @@ impl MpSoc {
         &self.cfg
     }
 
-    /// Loads `prog` for every core (shared read-only text, per-core private
-    /// data mirrors) and resets all cores to the entry point.
+    /// Loads `prog` for every core (shared read-only text, decoded once;
+    /// per-core private data mirrors) and resets all cores to the entry
+    /// point.
     ///
     /// # Panics
     ///
     /// Panics if the image does not fit in RAM.
     pub fn load_program(&mut self, prog: &Program) {
-        assert!(
-            self.cfg.in_ram(prog.text_base, prog.text_size().max(1))
-                && (prog.data.is_empty() || self.cfg.in_ram(prog.data_base, prog.data_size())),
-            "program image outside RAM window"
-        );
-        self.uncore.mem.write(MemSpace::Code, prog.text_base, &prog.text);
-        let text_end = prog.text_base + prog.text_size();
-        self.code_range = (prog.text_base, text_end);
-        for i in 0..self.cores.len() {
+        self.text = Arc::new(Text::load(&self.cfg, &mut self.uncore.mem, prog));
+        for (i, core) in self.cores.iter_mut().enumerate() {
             self.uncore.mem.write(MemSpace::Private(i), prog.data_base, &prog.data);
-            self.cores[i].set_code_range(prog.text_base, text_end);
-            self.cores[i].reset(prog.entry);
+            core.set_text(Arc::clone(&self.text));
+            core.reset(prog.entry);
         }
         self.cycle = 0;
     }
@@ -205,13 +203,13 @@ impl MpSoc {
     /// Reads an aligned doubleword from core `core`'s view of RAM (code
     /// addresses read the shared code space, everything else the core's
     /// private mirror).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the RAM window.
     #[must_use]
     pub fn read_dword(&self, core: usize, addr: u64) -> u64 {
-        let space = if addr >= self.code_range.0 && addr < self.code_range.1 {
-            MemSpace::Code
-        } else {
-            MemSpace::Private(core)
-        };
+        let space = if self.text.contains(addr) { MemSpace::Code } else { MemSpace::Private(core) };
         self.uncore.mem.read_dword_window(space, addr & !7)
     }
 }

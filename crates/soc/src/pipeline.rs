@@ -11,11 +11,14 @@
 //! store drain) and producing a fresh [`CoreProbe`] for the diversity
 //! monitor.
 
+use std::sync::Arc;
+
 use safedm_isa::csr::CsrFile;
 use safedm_isa::{
     alu, branch_taken, decode, is_aligned, load_value, CsrKind, Inst, LoadKind, Reg, StoreKind,
 };
 
+use crate::iss::Text;
 use crate::probe::{CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH};
 use crate::{
     BusOp, BusResult, BusUnit, CoreExit, MemSpace, PortId, RegFile, SbForward, SocConfig,
@@ -35,6 +38,8 @@ const WB: usize = 6;
 struct Slot {
     raw: u32,
     pc: u64,
+    /// The decoded instruction; `None` for an undecodable word, which traps
+    /// at `D`.
     inst: Option<Inst>,
     /// Forwardable destination value, once produced.
     result: Option<u64>,
@@ -56,11 +61,11 @@ struct Slot {
 }
 
 impl Slot {
-    fn fetched(raw: u32, pc: u64) -> Slot {
+    fn fetched(pc: u64, (raw, inst): (u32, Option<Inst>)) -> Slot {
         Slot {
             raw,
             pc,
-            inst: None,
+            inst,
             result: None,
             rs1_val: 0,
             rs2_val: 0,
@@ -161,7 +166,8 @@ pub struct Core {
     stages: [Group; PIPE_STAGES],
     stale_raw: [[u32; PIPE_WIDTH]; PIPE_STAGES],
     fetch_pc: u64,
-    code_range: (u64, u64),
+    /// The loaded program's text, decoded once and shared by all cores.
+    text: Arc<Text>,
     exit: CoreExit,
     ext_stall: bool,
     ex_done: bool,
@@ -207,7 +213,7 @@ impl Core {
             stages: Default::default(),
             stale_raw: [[0; PIPE_WIDTH]; PIPE_STAGES],
             fetch_pc: 0,
-            code_range: (0, 0),
+            text: Arc::default(),
             exit: CoreExit::Running,
             ext_stall: false,
             ex_done: false,
@@ -253,15 +259,16 @@ impl Core {
     /// at `pc`.
     pub fn reset(&mut self, pc: u64) {
         let cfg = self.cfg.clone();
-        let code = self.code_range;
+        let text = std::mem::take(&mut self.text);
         *self = Core::new(self.id, &cfg);
-        self.code_range = code;
+        self.text = text;
         self.fetch_pc = pc;
     }
 
-    /// Declares the read-only code region (set by the program loader).
-    pub fn set_code_range(&mut self, base: u64, end: u64) {
-        self.code_range = (base, end);
+    /// Installs the program's decoded text, the read-only code region the
+    /// core fetches from (set by the program loader).
+    pub(crate) fn set_text(&mut self, text: Arc<Text>) {
+        self.text = text;
     }
 
     /// Latest per-cycle probe (rebuilt by every [`Core::step`]).
@@ -371,7 +378,7 @@ impl Core {
     }
 
     fn in_code(&self, addr: u64) -> bool {
-        addr >= self.code_range.0 && addr < self.code_range.1
+        self.text.contains(addr)
     }
 
     fn data_space(&self, addr: u64) -> MemSpace {
@@ -629,8 +636,7 @@ impl Core {
             if self.l1i.line_base(a) != line || !self.in_code(a) {
                 break;
             }
-            let raw = uncore.mem.read_word(MemSpace::Code, a);
-            slots[i as usize] = Some(Slot::fetched(raw, a));
+            slots[i as usize] = Some(Slot::fetched(a, self.text.at(a)));
             count += 1;
         }
         if count == 0 {
@@ -644,22 +650,13 @@ impl Core {
 
     // ---- decode / predecode ------------------------------------------------------
 
-    /// Decodes the raw words in `D` and applies front-end redirects (`jal`,
-    /// predicted-taken branches). Returns `false` on an illegal-instruction
-    /// trap.
+    /// Traps on an undecodable word in `D` and applies front-end redirects
+    /// (`jal`, predicted-taken branches). Returns `false` on an
+    /// illegal-instruction trap.
     fn decode_and_predecode(&mut self) -> bool {
-        // Decode both slots first.
-        for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[D][i].clone() else { continue };
-            if slot.inst.is_none() {
-                match decode(slot.raw) {
-                    Ok(inst) => self.stages[D][i].as_mut().expect("slot exists").inst = Some(inst),
-                    Err(_) => {
-                        self.trap(TrapCause::IllegalInstruction { pc: slot.pc, word: slot.raw });
-                        return false;
-                    }
-                }
-            }
+        if let Some(slot) = self.stages[D].iter().flatten().find(|s| s.inst.is_none()) {
+            self.trap(TrapCause::IllegalInstruction { pc: slot.pc, word: slot.raw });
+            return false;
         }
         // Front-end redirect at the first control-flow slot.
         for i in 0..PIPE_WIDTH {
@@ -1313,9 +1310,14 @@ mod tests {
     fn reset_preserves_code_range_and_clears_state() {
         let cfg = SocConfig::default();
         let mut core = Core::new(0, &cfg);
-        core.set_code_range(0x8000_0000, 0x8000_1000);
+        let mut a = Asm::new();
+        a.nop();
+        a.ebreak();
+        let mut mem = crate::MainMemory::new(cfg.ram_base, cfg.ram_size);
+        core.set_text(Arc::new(Text::load(&cfg, &mut mem, &a.link(0x8000_0000).unwrap())));
         core.set_reg(Reg::A0, 99);
         core.reset(0x8000_0004);
+        assert!(core.in_code(0x8000_0004) && !core.in_code(0x8000_0008));
         assert_eq!(core.reg(Reg::A0), 0);
         assert!(!core.halted());
         assert_eq!(core.stats(), CoreStats::default());

@@ -378,6 +378,10 @@ fn out_of_ram_load_traps_as_access_fault() {
         r.exits[0],
         safedm_soc::CoreExit::Trap(safedm_soc::TrapCause::AccessFault { addr: 0x4000_0000, .. })
     ));
+    // The reference ISS stops on the same access with the same cause.
+    let mut iss = safedm_soc::Iss::new(0);
+    iss.load_program(&prog);
+    assert_eq!(iss.run(100), r.exits[0]);
 }
 
 #[test]
