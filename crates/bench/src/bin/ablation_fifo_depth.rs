@@ -12,11 +12,10 @@
 use std::fmt::Write as _;
 
 use safedm_bench::args;
-use safedm_bench::experiments::{
-    event_from_summary, run_cells_with_telemetry, run_monitored, Telemetry,
-};
+use safedm_bench::experiments::{run_cells_with_telemetry, run_monitored, Telemetry};
 use safedm_core::SafeDmConfig;
 use safedm_power::estimate_area;
+use safedm_soc::Engine;
 use safedm_tacle::kernels;
 
 fn main() {
@@ -42,7 +41,7 @@ fn main() {
             assert!(r.checksum_ok);
             r
         },
-        |index, &(depth, _), r| event_from_summary(index, &format!("fifo={depth}"), r),
+        |index, &(depth, _), r| r.event(index, &format!("fifo={depth}"), Engine::Cycle, 0),
     );
     let no_divs: Vec<u64> = runs.iter().map(|r| r.no_div).collect();
 

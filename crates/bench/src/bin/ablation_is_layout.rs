@@ -14,9 +14,10 @@ use std::fmt::Write as _;
 
 use safedm_bench::args;
 use safedm_bench::experiments::{
-    dm_config_with_layout, event_from_summary, run_cells_with_telemetry, run_monitored, Telemetry,
+    dm_config_with_layout, run_cells_with_telemetry, run_monitored, Telemetry,
 };
 use safedm_core::IsLayout;
+use safedm_soc::Engine;
 use safedm_tacle::kernels;
 
 fn main() {
@@ -38,7 +39,7 @@ fn main() {
             let k = kernels::by_name(name).expect("kernel");
             run_monitored(k, None, 0, dm_config_with_layout(layout))
         },
-        |index, &(_, layout), r| event_from_summary(index, &format!("layout={layout:?}"), r),
+        |index, &(_, layout), r| r.event(index, &format!("layout={layout:?}"), Engine::Cycle, 0),
     );
 
     let mut rows = String::new();

@@ -16,10 +16,9 @@
 use std::fmt::Write as _;
 
 use safedm_bench::args;
-use safedm_bench::experiments::{
-    event_from_summary, run_cells_with_telemetry, run_monitored_cfg, Telemetry,
-};
+use safedm_bench::experiments::{run_cells_with_telemetry, run_monitored_cfg, Telemetry};
 use safedm_core::SafeDmConfig;
+use safedm_soc::Engine;
 use safedm_tacle::{kernels, HarnessConfig, StackMode};
 
 fn main() {
@@ -45,7 +44,7 @@ fn main() {
             let k = kernels::by_name(name).expect("kernel");
             run_monitored_cfg(k, HarnessConfig { stagger: None, stack }, 0, SafeDmConfig::default())
         },
-        |index, &(_, stack), r| event_from_summary(index, &format!("stack={stack:?}"), r),
+        |index, &(_, stack), r| r.event(index, &format!("stack={stack:?}"), Engine::Cycle, 0),
     );
 
     let mut rows = String::new();

@@ -24,10 +24,11 @@ use std::fmt::Write as _;
 
 use safedm_bench::args;
 use safedm_bench::experiments::{ccf_metrics, set_metric_totals, write_metrics_json, Telemetry};
-use safedm_bench::service::CCF_MAX_CYCLE;
+use safedm_bench::service::{ccf_event, CCF_MAX_CYCLE};
 use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_faults::{Campaign, CampaignConfig};
 use safedm_obs::events::CellEvent;
+use safedm_soc::Engine;
 use safedm_tacle::kernels;
 
 fn main() {
@@ -97,22 +98,7 @@ fn main() {
             stats.silent_site_divergent,
             lat
         );
-        events.push(CellEvent {
-            index: events.len() as u64,
-            kernel: name.to_owned(),
-            config: format!("trials={trials}"),
-            engine: "cycle".to_owned(),
-            run: 0,
-            seed,
-            cycles: 0,
-            guarded: trials as u64,
-            zero_stag: 0,
-            no_div: stats.silent_with_no_diversity,
-            episodes: 0,
-            violations: stats.detected_mismatch,
-            ok: true,
-            wall_us: None,
-        });
+        events.push(ccf_event(events.len() as u64, name, trials, seed, Engine::Cycle, &stats));
         progress.cell_done(name);
         per_kernel.push((name, stats));
     }

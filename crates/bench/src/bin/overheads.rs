@@ -16,6 +16,7 @@ fn main() {
     // Derive switching activity from a real monitored run.
     let k = kernels::by_name("bitcount").expect("kernel exists");
     let run = run_monitored(k, None, 0, cfg);
+    assert!(run.checksum_ok);
     let activity = Activity::from_run(run.cycles, run.cycles - run.observed.min(run.cycles));
     let power = estimate_power(&cfg, activity);
 

@@ -2,9 +2,10 @@
 //! zero staggering and cycles without diversity, for initial staggering of
 //! 0 / 100 / 1,000 / 10,000 nops, plus the Section V-C summary block.
 //!
-//! The configuration grid runs through the `safedm-campaign` engine: rows
-//! and JSON are byte-identical for every `--jobs N` (see
-//! EXPERIMENTS.md, "Parallel campaigns").
+//! The protocol runs through the campaign service (`Protocol::Table1`,
+//! the same spec `safedm-sim serve` accepts): rows and JSON are
+//! byte-identical for every `--jobs N` (see EXPERIMENTS.md, "Parallel
+//! campaigns").
 //!
 //! Usage: `cargo run -p safedm-bench --bin table1 --release [--quick]
 //! [--jobs N] [--root-seed S] [--engine cycle|fast] [--profile]
@@ -15,15 +16,15 @@
 //! cycle-accurate verdicts (several times faster, not paper-grade — see
 //! DESIGN.md §10).
 
+use std::time::Duration;
+
 use safedm_bench::args;
 use safedm_bench::experiments::{
-    render_table1, summarize_table1, table1_cells, table1_events, table1_metrics,
-    table1_rows_from_runs, table1_run_cells, write_metrics_json, Telemetry, TABLE1_NOPS,
+    render_table1, summarize_table1, table1_metrics, table1_rows, write_metrics_json, Telemetry,
 };
+use safedm_bench::service::{self, RunOptions};
 use safedm_campaign::spec::{CampaignSpec, Protocol};
-use safedm_core::SafeDmConfig;
 use safedm_obs::SelfProfiler;
-use safedm_soc::Engine;
 use safedm_tacle::kernels;
 
 fn main() {
@@ -60,33 +61,31 @@ fn main() {
         jobs: Some(args::jobs(&args) as u64),
         keep_timing: telemetry.keep_timing,
     };
-    args::or_exit(spec.validate());
-    let engine = args::or_exit(Engine::parse(&spec.engine));
-    let jobs = spec.jobs.map_or(1, |j| j.max(1) as usize);
+    let prepared = args::or_exit(service::prepare(&spec));
 
     // Campaign stderr is quiet by default; `--progress` turns on the
     // header and the live status line.
     if telemetry.progress {
         eprintln!(
             "table1: running {} kernels x 4 staggering setups (4 seeds for 0 nops, 2 for the \
-             rest) on {jobs} worker(s)",
-            selected.len()
+             rest) on {} worker(s)",
+            selected.len(),
+            prepared.jobs
         );
     }
     let t = std::time::Instant::now();
-    let cells = table1_cells(&selected, spec.root_seed);
-    let progress = telemetry.progress_for(cells.len());
-    let (runs, timings) =
-        table1_run_cells(&cells, SafeDmConfig::default(), jobs, Some(&progress), engine);
+    let progress = telemetry.progress_for(prepared.cells.len());
+    let opts = RunOptions { progress: Some(&progress), ..RunOptions::default() };
+    let out = args::or_exit(service::run(&prepared, &opts));
     progress.finish();
     let mut prof = SelfProfiler::new();
     prof.record("campaign.total", t.elapsed());
-    for (cell, dt) in cells.iter().zip(&timings) {
-        let nops = TABLE1_NOPS[cell.setup_idx];
-        prof.record(&format!("cell.{}.nops{nops}.run{}", cell.kernel.name, cell.run), *dt);
+    for e in &out.events {
+        let name = format!("cell.{}.{}.run{}", e.kernel, e.config.replace('=', ""), e.run);
+        prof.record(&name, Duration::from_micros(e.wall_us.unwrap_or(0)));
     }
-    telemetry.write_events(&table1_events(&cells, &runs, &timings, engine));
-    let rows = table1_rows_from_runs(&selected, &cells, &runs);
+    telemetry.write_events(&out.events);
+    let rows = table1_rows(&selected, &out.events);
     if telemetry.progress {
         eprintln!("table1: finished in {:.1?}", t.elapsed());
     }
@@ -131,7 +130,7 @@ fn main() {
     if args::flag(&args, "--profile") {
         // Wall-clock per campaign cell (host measurement — deliberately on
         // stderr, never part of the deterministic outputs above).
-        eprintln!("\nper-cell wall-clock (campaign profiler, {jobs} worker(s)):");
+        eprintln!("\nper-cell wall-clock (campaign profiler, {} worker(s)):", prepared.jobs);
         eprint!("{}", prof.report());
     }
 }

@@ -1,25 +1,29 @@
-//! Shared experiment plumbing: monitored kernel runs, the Table I sweep
-//! (serial and parallel via the `safedm-campaign` engine), and report
-//! structures (serialisable for EXPERIMENTS.md via the hand-rolled
-//! [`mod@json`] helpers — no external serialisation dependency).
+//! Shared experiment plumbing: monitored kernel runs, the Table I protocol
+//! (its cells, the fold of the campaign service's events into rows, and a
+//! serial reference), and report structures (serialisable for
+//! EXPERIMENTS.md via the hand-rolled [`mod@json`] helpers — no external
+//! serialisation dependency).
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_campaign::{derive_cell_seed, par_map_timed_observed, Progress};
-use safedm_core::{IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
+use safedm_core::{regs, IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
 use safedm_isa::Reg;
 use safedm_obs::events::{CellEvent, Timing};
-use safedm_obs::{MetricsRegistry, MetricsSnapshot, SelfProfiler};
+use safedm_obs::{MetricsRegistry, MetricsSnapshot};
 use safedm_soc::fastpath::{Engine, FastTwin};
-use safedm_soc::SocConfig;
+use safedm_soc::{Iss, SocConfig};
 use safedm_tacle::{build_kernel_program, HarnessConfig, Kernel, StackMode, StaggerConfig};
+
+use crate::service::{self, RunOptions};
 
 /// Cycle budget per kernel run (generous; runs end at `ebreak`).
 pub const RUN_BUDGET: u64 = 200_000_000;
 
 /// One monitored redundant run of one kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelRunSummary {
     /// Kernel name.
     pub name: String,
@@ -49,19 +53,48 @@ pub struct KernelRunSummary {
     pub checksum_ok: bool,
 }
 
+impl KernelRunSummary {
+    /// The run as campaign cell `index`'s event: `guarded` carries the
+    /// monitored cycles and a failed self-check counts one violation.
+    /// `wall_us` is `None`; the campaign runner fills the measured
+    /// duration.
+    #[must_use]
+    pub fn event(&self, index: u64, config: &str, engine: Engine, run: u64) -> CellEvent {
+        CellEvent {
+            index,
+            kernel: self.name.clone(),
+            config: config.to_owned(),
+            engine: engine.as_str().to_owned(),
+            run,
+            seed: self.seed,
+            cycles: self.cycles,
+            guarded: self.observed,
+            zero_stag: self.zero_stag,
+            no_div: self.no_div,
+            episodes: self.episodes,
+            violations: u64::from(!self.checksum_ok),
+            ok: self.checksum_ok,
+            wall_us: None,
+        }
+    }
+}
+
+/// Where a cycle-engine cell opens its measurement window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Window {
+    /// The Table I protocol: the window opens when the cores leave reset
+    /// and commit their first instruction (the paper's synchronised
+    /// start), excluding only the empty-pipeline boot stall while the
+    /// first cache line is in flight. The staggering counter is seeded
+    /// with the committed-instruction difference at that point (what a
+    /// hardware counter running from reset would hold).
+    BootGated,
+    /// The grid protocol: monitored from the first cycle.
+    FromReset,
+}
+
 /// Runs `kernel` redundantly under SafeDM with the given staggering and
-/// jitter seed.
-///
-/// The measurement window starts when the cores leave reset and commit
-/// their first instruction (the paper's synchronised start), excluding only
-/// the empty-pipeline boot stall while the first cache line is in flight.
-/// The staggering counter is seeded with the committed-instruction
-/// difference at that point (what a hardware counter running from reset
-/// would hold).
-///
-/// # Panics
-///
-/// Panics if the run exceeds [`RUN_BUDGET`] (indicates a model bug).
+/// jitter seed, over the [`Window::BootGated`] measurement window.
 #[must_use]
 pub fn run_monitored(
     kernel: &Kernel,
@@ -73,10 +106,6 @@ pub fn run_monitored(
 }
 
 /// [`run_monitored`] with full harness control (stack placement included).
-///
-/// # Panics
-///
-/// Panics if the run exceeds [`RUN_BUDGET`] (indicates a model bug).
 #[must_use]
 pub fn run_monitored_cfg(
     kernel: &Kernel,
@@ -85,54 +114,85 @@ pub fn run_monitored_cfg(
     dm_cfg: SafeDmConfig,
 ) -> KernelRunSummary {
     let prog = build_kernel_program(kernel, &harness);
-    run_monitored_prebuilt(kernel, &prog, harness.stagger, seed, dm_cfg)
+    run_cell(Engine::Cycle, kernel, &prog, harness.stagger, seed, Window::BootGated, dm_cfg)
 }
 
-/// [`run_monitored`] on a pre-built program image. Campaign cells share one
-/// decoded [`Program`] per (kernel, staggering) setup via `Arc` instead of
-/// re-assembling it per run.
+/// One kernel cell on the selected engine: the one cell body behind every
+/// campaign protocol and [`run_monitored`]. Campaign cells share one
+/// pre-built `prog` per (kernel, staggering) setup; `stagger` records
+/// which setup it is.
 ///
-/// # Panics
+/// [`Engine::Cycle`] runs the monitored pipeline pair with memory jitter
+/// seeded by `seed`, in polling report mode, over `window`.
+/// [`Engine::Fast`] runs a [`FastTwin`] pair over the same image and
+/// reports the functional monitor proxies described on [`FastTwin::run`]:
+/// `ds_match` and `is_match` are set to the no-diversity proxy (a
+/// functional engine has no per-cycle signatures to compare separately),
+/// and `seed` and `window` are functionally inert — the fast engine models
+/// no memory jitter and no boot stall, which is exactly why its counters
+/// are nominal rather than comparable with the cycle engine's.
 ///
-/// Panics if the run exceeds [`RUN_BUDGET`] (indicates a model bug).
+/// Either engine spends at most [`RUN_BUDGET`] cycles. A run that times
+/// out, halts before its first commit or ends without the kernel's
+/// reference checksum in both cores' `a0` reports `checksum_ok == false`.
 #[must_use]
-pub fn run_monitored_prebuilt(
+pub fn run_cell(
+    engine: Engine,
     kernel: &Kernel,
     prog: &safedm_asm::Program,
     stagger: Option<StaggerConfig>,
     seed: u64,
+    window: Window,
     dm_cfg: SafeDmConfig,
 ) -> KernelRunSummary {
-    let soc_cfg = SocConfig { mem_jitter: 2, jitter_seed: seed, ..SocConfig::default() };
-    let mut dm_cfg = dm_cfg;
-    dm_cfg.report_mode = ReportMode::Polling;
-    let mut sys = MonitoredSoc::new(soc_cfg, dm_cfg);
-    sys.load_program(prog);
-
-    // Hold the monitor disabled until the first instruction commits.
-    sys.write_ctrl(0);
-    sys.monitor_mut().set_enabled(false);
-    let mut spent = 0u64;
-    while sys.soc().core(0).retired() == 0 && sys.soc().core(1).retired() == 0 {
-        assert!(!sys.soc().all_halted(), "{}: halted before first commit", kernel.name);
-        sys.step();
-        spent += 1;
-        assert!(spent < RUN_BUDGET, "{}: boot exceeded budget", kernel.name);
-    }
-    let seed_diff = sys.soc().core(0).retired() as i64 - sys.soc().core(1).retired() as i64;
-    sys.monitor_mut().preset_diff(seed_diff);
-    sys.write_ctrl(1 | (safedm_core::regs::encode_mode(ReportMode::Polling) << 1));
-
-    let out = sys.run(RUN_BUDGET - spent);
-    assert!(!out.run.timed_out, "{}: run exceeded budget", kernel.name);
     let golden = (kernel.reference)();
-    let checksum_ok = (0..2).all(|c| sys.soc().core(c).reg(Reg::A0) == golden);
-    let counters = sys.monitor().counters();
-    KernelRunSummary {
+    let base = KernelRunSummary {
         name: kernel.name.to_owned(),
         stagger_nops: stagger.map_or(0, |s| s.nops),
         delayed_core: stagger.map_or(0, |s| s.delayed_core),
         seed,
+        ..KernelRunSummary::default()
+    };
+    if engine == Engine::Fast {
+        let mut twin = FastTwin::new();
+        twin.load_program(prog);
+        let out = twin.run(RUN_BUDGET);
+        return KernelRunSummary {
+            cycles: out.cycles,
+            instructions: out.instructions[0],
+            zero_stag: out.zero_stag,
+            no_div: out.no_div,
+            ds_match: out.no_div,
+            is_match: out.no_div,
+            observed: out.observed,
+            episodes: out.episodes,
+            checksum_ok: !out.timed_out && (0..2).all(|c| twin.hart(c).reg(Reg::A0) == golden),
+            ..base
+        };
+    }
+
+    let soc_cfg = SocConfig { mem_jitter: 2, jitter_seed: seed, ..SocConfig::default() };
+    let dm_cfg = SafeDmConfig { report_mode: ReportMode::Polling, ..dm_cfg };
+    let mut sys = MonitoredSoc::new(soc_cfg, dm_cfg);
+    sys.load_program(prog);
+    let mut spent = 0u64;
+    if window == Window::BootGated {
+        // Hold the monitor off until the first instruction commits.
+        sys.write_ctrl(0);
+        while sys.soc().core(0).retired() == 0 && sys.soc().core(1).retired() == 0 {
+            if sys.soc().all_halted() || spent == RUN_BUDGET {
+                return base; // the window never opened: `checksum_ok` is false
+            }
+            sys.step();
+            spent += 1;
+        }
+        let seed_diff = sys.soc().core(0).retired() as i64 - sys.soc().core(1).retired() as i64;
+        sys.monitor_mut().preset_diff(seed_diff);
+        sys.write_ctrl(regs::enabled_ctrl(dm_cfg.report_mode));
+    }
+    let out = sys.run(RUN_BUDGET - spent);
+    let counters = sys.monitor().counters();
+    KernelRunSummary {
         cycles: out.run.cycles,
         instructions: sys.soc().core(0).retired(),
         zero_stag: out.zero_stag_cycles,
@@ -141,71 +201,8 @@ pub fn run_monitored_prebuilt(
         is_match: counters.is_match_cycles,
         observed: out.cycles_observed,
         episodes: sys.monitor().no_diversity_history().total_episodes(),
-        checksum_ok,
-    }
-}
-
-/// [`run_monitored_prebuilt`]'s functional analogue on the fast engine: a
-/// [`FastTwin`] pair over the same image, reporting the functional monitor
-/// proxies described on [`FastTwin::run`]. `ds_match` and `is_match` are
-/// set to the no-diversity proxy (a functional engine has no per-cycle
-/// signatures to compare separately), and `seed` is recorded but
-/// functionally inert — the fast engine models no memory jitter, which is
-/// exactly why its counters are nominal rather than comparable with the
-/// cycle engine's.
-///
-/// # Panics
-///
-/// Panics if the run exceeds [`RUN_BUDGET`] (indicates a model bug).
-#[must_use]
-pub fn run_fast_prebuilt(
-    kernel: &Kernel,
-    prog: &safedm_asm::Program,
-    stagger: Option<StaggerConfig>,
-    seed: u64,
-) -> KernelRunSummary {
-    let mut twin = FastTwin::new();
-    twin.load_program(prog);
-    let out = twin.run(RUN_BUDGET);
-    assert!(!out.timed_out, "{}: fast run exceeded budget", kernel.name);
-    let golden = (kernel.reference)();
-    let checksum_ok = (0..2).all(|c| twin.hart(c).reg(Reg::A0) == golden);
-    KernelRunSummary {
-        name: kernel.name.to_owned(),
-        stagger_nops: stagger.map_or(0, |s| s.nops),
-        delayed_core: stagger.map_or(0, |s| s.delayed_core),
-        seed,
-        cycles: out.cycles,
-        instructions: out.instructions[0],
-        zero_stag: out.zero_stag,
-        no_div: out.no_div,
-        ds_match: out.no_div,
-        is_match: out.no_div,
-        observed: out.observed,
-        episodes: out.episodes,
-        checksum_ok,
-    }
-}
-
-/// One kernel run on the selected engine: [`Engine::Cycle`] is the
-/// monitored [`run_monitored_prebuilt`]; [`Engine::Fast`] trades monitor
-/// fidelity for throughput via [`run_fast_prebuilt`].
-///
-/// # Panics
-///
-/// Panics if the run exceeds [`RUN_BUDGET`] (indicates a model bug).
-#[must_use]
-pub fn run_engine_prebuilt(
-    engine: Engine,
-    kernel: &Kernel,
-    prog: &safedm_asm::Program,
-    stagger: Option<StaggerConfig>,
-    seed: u64,
-    dm_cfg: SafeDmConfig,
-) -> KernelRunSummary {
-    match engine {
-        Engine::Cycle => run_monitored_prebuilt(kernel, prog, stagger, seed, dm_cfg),
-        Engine::Fast => run_fast_prebuilt(kernel, prog, stagger, seed),
+        checksum_ok: !out.run.timed_out && (0..2).all(|c| sys.soc().core(c).reg(Reg::A0) == golden),
+        ..base
     }
 }
 
@@ -250,8 +247,6 @@ pub fn table1_runs_per_setup(nops: usize) -> usize {
 pub struct Table1CellRun<'k> {
     /// Dense cell index (kernel-major, run-minor).
     pub index: usize,
-    /// Position of the kernel in the campaign's kernel list.
-    pub kernel_idx: usize,
     /// The kernel.
     pub kernel: &'k Kernel,
     /// Position of the staggering setup in [`TABLE1_NOPS`].
@@ -278,7 +273,7 @@ pub struct Table1CellRun<'k> {
 #[must_use]
 pub fn table1_cells<'k>(kernels: &[&'k Kernel], root_seed: Option<u64>) -> Vec<Table1CellRun<'k>> {
     let mut cells = Vec::new();
-    for (kernel_idx, k) in kernels.iter().enumerate() {
+    for k in kernels {
         for (setup_idx, nops) in TABLE1_NOPS.iter().enumerate() {
             let runs = table1_runs_per_setup(*nops);
             let mut shared: Option<Arc<safedm_asm::Program>> = None;
@@ -303,7 +298,6 @@ pub fn table1_cells<'k>(kernels: &[&'k Kernel], root_seed: Option<u64>) -> Vec<T
                     root_seed.map_or(run as u64, |root| derive_cell_seed(root, index as u64));
                 cells.push(Table1CellRun {
                     index,
-                    kernel_idx,
                     kernel: k,
                     setup_idx,
                     stagger,
@@ -317,160 +311,73 @@ pub fn table1_cells<'k>(kernels: &[&'k Kernel], root_seed: Option<u64>) -> Vec<T
     cells
 }
 
-/// Folds per-cell run summaries (in cell order) back into Table I rows
-/// (the fold behind [`table1_with_jobs`], public for callers that also
-/// want the per-cell summaries).
+/// Instructions hart 0 executes on `kernel`'s unstaggered image, counted
+/// by the ISS. The pipeline commits the same instruction stream, so this
+/// equals core 0's retired count in every synchronised run.
+fn iss_instructions(kernel: &Kernel) -> u64 {
+    let mut iss = Iss::new(0);
+    iss.load_program(&build_kernel_program(kernel, &HarnessConfig::default()));
+    iss.run(RUN_BUDGET);
+    iss.executed()
+}
+
+/// Folds the events of a [`Protocol::Table1`] campaign over `kernels`
+/// (the campaign service's, in cell order) into Table I rows: each cell
+/// is the maximum across its setup's runs, and a row passes its
+/// self-checks when every run of its kernel did.
+///
+/// # Panics
+///
+/// Panics if `events` do not come from a Table I campaign over `kernels`.
 #[must_use]
-pub fn table1_rows_from_runs(
-    kernels: &[&Kernel],
-    cells: &[Table1CellRun],
-    runs: &[KernelRunSummary],
-) -> Vec<Table1Row> {
+pub fn table1_rows(kernels: &[&Kernel], events: &[CellEvent]) -> Vec<Table1Row> {
     let mut rows: Vec<Table1Row> = kernels
         .iter()
         .map(|k| Table1Row {
             name: k.name.to_owned(),
             cells: [Table1Cell::default(); 4],
-            instructions: 0,
+            instructions: iss_instructions(k),
             all_checksums_ok: true,
         })
         .collect();
-    for (cell, r) in cells.iter().zip(runs) {
-        let row = &mut rows[cell.kernel_idx];
-        let slot = &mut row.cells[cell.setup_idx];
-        slot.zero_stag = slot.zero_stag.max(r.zero_stag);
-        slot.no_div = slot.no_div.max(r.no_div);
-        row.all_checksums_ok &= r.checksum_ok;
-        if cell.stagger.is_none() {
-            row.instructions = r.instructions;
-        }
+    // Cells enumerate kernel-major (see `table1_cells`).
+    let cells_per_kernel: usize = TABLE1_NOPS.iter().map(|&n| table1_runs_per_setup(n)).sum();
+    for e in events {
+        let row = &mut rows[e.index as usize / cells_per_kernel];
+        let setup = TABLE1_NOPS
+            .iter()
+            .position(|n| e.config == format!("nops={n}"))
+            .expect("Table I events carry a Table I staggering setup");
+        let slot = &mut row.cells[setup];
+        slot.zero_stag = slot.zero_stag.max(e.zero_stag);
+        slot.no_div = slot.no_div.max(e.no_div);
+        row.all_checksums_ok &= e.ok;
     }
     rows
 }
 
-/// Reproduces Table I for the given kernels. Per the paper's protocol,
-/// the no-staggering setup runs four times (different memory-jitter seeds)
-/// and each staggered setup runs twice (each core delayed once); cells
-/// report the maxima.
+/// Reproduces Table I for the given kernels through the campaign service
+/// on `jobs` workers. Per the paper's protocol, the no-staggering setup
+/// runs four times (different memory-jitter seeds) and each staggered
+/// setup runs twice (each core delayed once); cells report the maxima.
+/// `root_seed` picks the jitter seeds as in [`table1_cells`]; rows are
+/// byte-identical for every `jobs`.
 ///
-/// Single-threaded convenience wrapper over [`table1_with_jobs`]; output is
-/// byte-identical for every worker count.
-#[must_use]
-pub fn table1(kernels: &[&Kernel], dm_cfg: SafeDmConfig) -> Vec<Table1Row> {
-    table1_with_jobs(kernels, dm_cfg, 1, None, None)
-}
-
-/// [`table1`] on `jobs` workers through the `safedm-campaign` engine.
+/// # Panics
 ///
-/// The cells of [`table1_cells`] are executed by a chunked work-stealing
-/// pool with ordered result collection; the fold then sees results in the
-/// canonical cell order, so rows (and anything rendered from them) are
-/// byte-identical for any `jobs`. When `prof` is given, each cell's
-/// wall-clock is recorded under `cell.<kernel>.nops<N>.run<R>` plus a
-/// `campaign.total` phase (wall-clock is reported via the profiler only —
-/// never mixed into deterministic outputs).
+/// Panics if a kernel is not in the `safedm-tacle` registry.
 #[must_use]
-pub fn table1_with_jobs(
-    kernels: &[&Kernel],
-    dm_cfg: SafeDmConfig,
-    jobs: usize,
-    root_seed: Option<u64>,
-    prof: Option<&mut SelfProfiler>,
-) -> Vec<Table1Row> {
-    let cells = table1_cells(kernels, root_seed);
-    let campaign_start = std::time::Instant::now();
-    let (runs, timings) = table1_run_cells(&cells, dm_cfg, jobs, None, Engine::Cycle);
-    if let Some(prof) = prof {
-        prof.record("campaign.total", campaign_start.elapsed());
-        for (cell, t) in cells.iter().zip(&timings) {
-            let nops = TABLE1_NOPS[cell.setup_idx];
-            prof.record(&format!("cell.{}.nops{nops}.run{}", cell.kernel.name, cell.run), *t);
-        }
-    }
-    table1_rows_from_runs(kernels, &cells, &runs)
-}
-
-/// Executes Table I campaign cells on `jobs` workers and the selected
-/// engine (see [`run_engine_prebuilt`] for what each engine means for the
-/// counters), reporting each completion to `progress` (stderr only —
-/// outputs stay deterministic) and returning run summaries plus per-cell
-/// wall-clock, both in cell order.
-#[must_use]
-pub fn table1_run_cells(
-    cells: &[Table1CellRun],
-    dm_cfg: SafeDmConfig,
-    jobs: usize,
-    progress: Option<&Progress>,
-    engine: Engine,
-) -> (Vec<KernelRunSummary>, Vec<Duration>) {
-    par_map_timed_observed(
-        jobs,
-        cells,
-        |_, cell| {
-            run_engine_prebuilt(engine, cell.kernel, &cell.program, cell.stagger, cell.seed, dm_cfg)
-        },
-        |i, _| {
-            if let Some(p) = progress {
-                p.cell_done(cells[i].kernel.name);
-            }
-        },
-    )
-}
-
-/// Builds the telemetry event stream for a Table I-protocol campaign: one
-/// [`CellEvent`] per cell, in cell order, carrying the run's counters and
-/// its wall-clock (which serialisation strips unless asked to keep).
-#[must_use]
-pub fn table1_events(
-    cells: &[Table1CellRun],
-    runs: &[KernelRunSummary],
-    timings: &[Duration],
-    engine: Engine,
-) -> Vec<CellEvent> {
-    cells
-        .iter()
-        .zip(runs)
-        .zip(timings)
-        .map(|((cell, r), t)| CellEvent {
-            index: cell.index as u64,
-            kernel: cell.kernel.name.to_owned(),
-            config: format!("nops={}", TABLE1_NOPS[cell.setup_idx]),
-            engine: engine.as_str().to_owned(),
-            run: cell.run as u64,
-            seed: cell.seed,
-            cycles: r.cycles,
-            guarded: r.observed,
-            zero_stag: r.zero_stag,
-            no_div: r.no_div,
-            episodes: r.episodes,
-            violations: u64::from(!r.checksum_ok),
-            ok: r.checksum_ok,
-            wall_us: Some(duration_us(*t)),
-        })
-        .collect()
-}
-
-/// A [`CellEvent`] from one run's summary: the shared conversion for bins
-/// whose cells are single [`run_monitored`] calls. `run` defaults to 0 and
-/// `wall_us` to `None` (the campaign helper fills the measured duration).
-#[must_use]
-pub fn event_from_summary(index: u64, config: &str, r: &KernelRunSummary) -> CellEvent {
-    CellEvent {
-        index,
-        kernel: r.name.clone(),
-        config: config.to_owned(),
-        engine: "cycle".to_owned(),
-        run: 0,
-        seed: r.seed,
-        cycles: r.cycles,
-        guarded: r.observed,
-        zero_stag: r.zero_stag,
-        no_div: r.no_div,
-        episodes: r.episodes,
-        violations: u64::from(!r.checksum_ok),
-        ok: r.checksum_ok,
-        wall_us: None,
-    }
+pub fn table1(kernels: &[&Kernel], root_seed: Option<u64>, jobs: usize) -> Vec<Table1Row> {
+    let spec = CampaignSpec {
+        protocol: Protocol::Table1,
+        kernels: kernels.iter().map(|k| k.name.to_owned()).collect(),
+        root_seed,
+        jobs: Some(jobs as u64),
+        ..CampaignSpec::default()
+    };
+    let out = service::run_spec(&spec, &RunOptions::default())
+        .expect("a Table I spec over registered kernels is valid");
+    table1_rows(kernels, &out.events)
 }
 
 /// A `Duration` as saturating whole microseconds.
@@ -526,9 +433,9 @@ where
 }
 
 /// The pre-engine nested-loop Table I: the differential baseline
-/// `tests/parallel_determinism.rs` compares the campaign engine against.
-/// Must stay byte-for-byte equivalent to [`table1_with_jobs`] for every
-/// `jobs` and `root_seed`.
+/// `tests/parallel_determinism.rs` compares the campaign service against.
+/// Must stay byte-for-byte equivalent to [`table1`] for every `jobs` and
+/// `root_seed`.
 #[must_use]
 pub fn table1_serial(
     kernels: &[&Kernel],
@@ -736,8 +643,8 @@ pub fn write_metrics_json(path: &str, snap: &MetricsSnapshot) {
 
 /// The Table I metric registry (`--metrics-out`): per-row zero-stag /
 /// no-div / instruction totals. Shared between the `table1` binary and the
-/// parallel-determinism differential test, and fed by [`table1_with_jobs`]
-/// output only — so its snapshot inherits the engine's byte-determinism.
+/// parallel-determinism differential test, and fed by [`table1_rows`]
+/// output only — so its snapshot inherits the service's byte-determinism.
 #[must_use]
 pub fn table1_metrics(rows: &[Table1Row]) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new(true);
@@ -759,35 +666,9 @@ pub fn table1_metrics(rows: &[Table1Row]) -> MetricsRegistry {
 /// Minimal JSON emission for the report structures (replaces the previous
 /// serde derive: this workspace builds with no external serialisation crate).
 pub mod json {
+    use safedm_obs::json::{escape, number};
+
     use super::{Table1Row, Table1Summary};
-
-    /// Escapes a string for inclusion in a JSON document.
-    #[must_use]
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Renders a float the way JSON expects (`NaN`/infinities become null).
-    #[must_use]
-    pub fn number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_owned()
-        }
-    }
 
     /// One Table I row as a JSON object.
     #[must_use]
@@ -857,9 +738,14 @@ mod tests {
     fn table1_events_carry_run_counters() {
         let k = kernels::by_name("fac").expect("kernel");
         let cells = table1_cells(&[k], Some(7));
-        let (runs, timings) =
-            table1_run_cells(&cells, SafeDmConfig::default(), 1, None, Engine::Cycle);
-        let events = table1_events(&cells, &runs, &timings, Engine::Cycle);
+        let spec = CampaignSpec {
+            protocol: Protocol::Table1,
+            kernels: vec!["fac".to_owned()],
+            root_seed: Some(7),
+            jobs: Some(1),
+            ..CampaignSpec::default()
+        };
+        let events = service::run_spec(&spec, &RunOptions::default()).expect("valid spec").events;
         assert_eq!(events.len(), cells.len());
         assert_eq!(events[0].kernel, "fac");
         assert_eq!(events[0].config, "nops=0");
@@ -868,6 +754,20 @@ mod tests {
         assert!(events.iter().all(|e| e.guarded >= e.no_div));
         // Cell order is the canonical enumeration.
         assert!(events.windows(2).all(|w| w[0].index + 1 == w[1].index));
+    }
+
+    #[test]
+    fn a_cell_that_halts_before_its_first_commit_fails() {
+        let k = kernels::by_name("fac").expect("kernel");
+        let mut a = safedm_asm::Asm::new();
+        a.word(0);
+        let prog = a.link(0x8000_0000).expect("one word links");
+        for engine in [Engine::Cycle, Engine::Fast] {
+            for window in [Window::BootGated, Window::FromReset] {
+                let r = run_cell(engine, k, &prog, None, 0, window, SafeDmConfig::default());
+                assert!(!r.checksum_ok, "{engine} {window:?}");
+            }
+        }
     }
 
     #[test]
@@ -899,7 +799,7 @@ mod tests {
     #[test]
     fn table1_row_shape_on_one_kernel() {
         let k = kernels::by_name("fac").expect("kernel");
-        let rows = table1(&[k], SafeDmConfig::default());
+        let rows = table1(&[k], None, 1);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert!(row.all_checksums_ok);

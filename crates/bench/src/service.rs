@@ -37,19 +37,13 @@ use std::sync::{Arc, Mutex};
 use safedm_campaign::cache::{CacheStats, ResultCache};
 use safedm_campaign::spec::{CampaignSpec, CellSpec, Protocol};
 use safedm_campaign::{default_jobs, par_map_timed_observed, ConfigGrid, Progress};
-use safedm_core::{regs, MonitoredSoc, ReportMode, SafeDmConfig};
-use safedm_faults::{Campaign, CampaignConfig};
-use safedm_isa::Reg;
+use safedm_core::SafeDmConfig;
+use safedm_faults::{Campaign, CampaignConfig, CampaignStats};
 use safedm_obs::events::{CellEvent, Timing};
-use safedm_soc::fastpath::{Engine, FastTwin};
-use safedm_soc::SocConfig;
+use safedm_soc::fastpath::Engine;
 use safedm_tacle::{build_kernel_program, kernels, HarnessConfig, Kernel, StaggerConfig};
 
-use crate::experiments::{duration_us, run_engine_prebuilt, table1_cells, TABLE1_NOPS};
-
-/// Cycle budget for grid-protocol cells (matches the historical
-/// `safedm-sim campaign` budget; generous — runs end at `ebreak`).
-pub const GRID_RUN_BUDGET: u64 = 500_000_000;
+use crate::experiments::{duration_us, run_cell, table1_cells, Table1CellRun, Window, TABLE1_NOPS};
 
 /// Injection-cycle ceiling for CCF-protocol cells (matches the historical
 /// `ccf_campaign` default).
@@ -150,8 +144,8 @@ pub fn prepare(spec: &CampaignSpec) -> Result<Prepared, String> {
 }
 
 /// The grid protocol: kernel × stagger × run, `SafeDmConfig::default()`,
-/// non-boot-gated monitored runs (the historical `safedm-sim campaign`
-/// cell body, moved here so CLI and server execute identical code).
+/// monitored from reset ([`Window::FromReset`]), the delayed core being
+/// core 1.
 fn prepare_grid(
     spec: &CampaignSpec,
     ks: &[&'static Kernel],
@@ -171,7 +165,7 @@ fn prepare_grid(
     // One pre-decoded program per (kernel, stagger) setup, shared by all of
     // that setup's runs. Setup index = cell.index / runs in the canonical
     // kernel-major, run-minor order (configs axis has length 1).
-    let mut programs: Vec<Arc<safedm_asm::Program>> =
+    let mut setups: Vec<(Option<StaggerConfig>, Arc<safedm_asm::Program>)> =
         Vec::with_capacity(grid.kernels.len() * grid.staggers.len());
     for k in &grid.kernels {
         for &nops in &grid.staggers {
@@ -179,127 +173,92 @@ fn prepare_grid(
                 nops: usize::try_from(nops).unwrap_or(usize::MAX),
                 delayed_core: 1,
             });
-            programs.push(Arc::new(build_kernel_program(
-                k,
-                &HarnessConfig { stagger, ..HarnessConfig::default() },
-            )));
+            let harness = HarnessConfig { stagger, ..HarnessConfig::default() };
+            setups.push((stagger, Arc::new(build_kernel_program(k, &harness))));
         }
     }
     Ok(grid
         .cells()
         .into_iter()
         .map(|cell| {
-            let prog = Arc::clone(&programs[cell.index / runs]);
+            let (stagger, prog) = setups[cell.index / runs].clone();
             let kernel: &'static Kernel = cell.kernel;
+            let config = format!("nops={}", cell.stagger);
             let cell_spec = CellSpec {
                 protocol: Protocol::Grid,
                 kernel: kernel.name.to_owned(),
-                config: format!("nops={}", cell.stagger),
+                config: config.clone(),
                 run: cell.run as u64,
                 seed: cell.seed,
                 engine: engine.as_str().to_owned(),
             };
-            let (index, seed, run, stagger) =
-                (cell.index as u64, cell.seed, cell.run, cell.stagger);
-            let dm_cfg = cell.config;
+            let (index, seed, run, dm_cfg) = (cell.index as u64, cell.seed, cell.run, cell.config);
             let compute: CellFn = Box::new(move || {
-                let golden = (kernel.reference)();
-                let (cycles, zero_stag, no_div, observed, episodes, ok) = if engine == Engine::Fast
-                {
-                    // Functional twin: architecturally exact results plus
-                    // instruction-count diversity proxies, no pipeline
-                    // model.
-                    let mut twin = FastTwin::new();
-                    twin.load_program(&prog);
-                    let out = twin.run(GRID_RUN_BUDGET);
-                    let ok = !out.timed_out && (0..2).all(|c| twin.hart(c).reg(Reg::A0) == golden);
-                    (out.cycles, out.zero_stag, out.no_div, out.observed, out.episodes, ok)
-                } else {
-                    let soc_cfg =
-                        SocConfig { mem_jitter: 2, jitter_seed: seed, ..SocConfig::default() };
-                    let dm_cfg = SafeDmConfig { report_mode: ReportMode::Polling, ..dm_cfg };
-                    let mut sys = MonitoredSoc::new(soc_cfg, dm_cfg);
-                    sys.load_program(&prog);
-                    sys.write_ctrl(1 | (regs::encode_mode(ReportMode::Polling) << 1));
-                    let out = sys.run(GRID_RUN_BUDGET);
-                    let ok = !out.run.timed_out
-                        && (0..2).all(|c| sys.soc().core(c).reg(Reg::A0) == golden);
-                    (
-                        out.run.cycles,
-                        out.zero_stag_cycles,
-                        out.no_div_cycles,
-                        out.cycles_observed,
-                        sys.monitor().no_diversity_history().total_episodes(),
-                        ok,
-                    )
-                };
-                CellEvent {
-                    index,
-                    kernel: kernel.name.to_owned(),
-                    config: format!("nops={stagger}"),
-                    engine: engine.as_str().to_owned(),
-                    run: run as u64,
-                    seed,
-                    cycles,
-                    guarded: observed,
-                    zero_stag,
-                    no_div,
-                    episodes,
-                    violations: u64::from(!ok),
-                    ok,
-                    wall_us: None,
-                }
+                run_cell(engine, kernel, &prog, stagger, seed, Window::FromReset, dm_cfg)
+                    .event(index, &config, engine, run as u64)
             });
             CellTask { spec: cell_spec, compute }
         })
         .collect())
 }
 
-/// The Table I protocol: the paper's four staggering setups with their
-/// boot-gated measurement window ([`run_engine_prebuilt`]); `staggers` and
-/// `runs` in the spec are ignored (the protocol pins both).
+/// The Table I protocol: the paper's four staggering setups over the
+/// [`Window::BootGated`] measurement window; `staggers` and `runs` in the
+/// spec are ignored (the protocol pins both).
 fn prepare_table1(spec: &CampaignSpec, ks: &[&'static Kernel], engine: Engine) -> Vec<CellTask> {
     table1_cells(ks, spec.root_seed)
         .into_iter()
         .map(|cell| {
-            let nops = TABLE1_NOPS[cell.setup_idx];
+            let (index, run) = (cell.index as u64, cell.run as u64);
+            let config = format!("nops={}", TABLE1_NOPS[cell.setup_idx]);
             let cell_spec = CellSpec {
                 protocol: Protocol::Table1,
                 kernel: cell.kernel.name.to_owned(),
-                config: format!("nops={nops}"),
-                run: cell.run as u64,
+                config: config.clone(),
+                run,
                 seed: cell.seed,
                 engine: engine.as_str().to_owned(),
             };
+            let Table1CellRun { kernel, stagger, seed, program, .. } = cell;
+            let dm_cfg = SafeDmConfig::default();
             let compute: CellFn = Box::new(move || {
-                let r = run_engine_prebuilt(
-                    engine,
-                    cell.kernel,
-                    &cell.program,
-                    cell.stagger,
-                    cell.seed,
-                    SafeDmConfig::default(),
-                );
-                CellEvent {
-                    index: cell.index as u64,
-                    kernel: cell.kernel.name.to_owned(),
-                    config: format!("nops={nops}"),
-                    engine: engine.as_str().to_owned(),
-                    run: cell.run as u64,
-                    seed: cell.seed,
-                    cycles: r.cycles,
-                    guarded: r.observed,
-                    zero_stag: r.zero_stag,
-                    no_div: r.no_div,
-                    episodes: r.episodes,
-                    violations: u64::from(!r.checksum_ok),
-                    ok: r.checksum_ok,
-                    wall_us: None,
-                }
+                run_cell(engine, kernel, &program, stagger, seed, Window::BootGated, dm_cfg)
+                    .event(index, &config, engine, run)
             });
             CellTask { spec: cell_spec, compute }
         })
         .collect()
+}
+
+/// One CCF-protocol cell's event: `trials` fault injections into `kernel`
+/// folded into `guarded` (the trial count), `violations` (detected
+/// mismatches) and `no_div` (silent corruptions under flagged cycles).
+/// Shared by the service and the `ccf_campaign` binary.
+#[must_use]
+pub fn ccf_event(
+    index: u64,
+    kernel: &str,
+    trials: usize,
+    seed: u64,
+    engine: Engine,
+    stats: &CampaignStats,
+) -> CellEvent {
+    CellEvent {
+        index,
+        kernel: kernel.to_owned(),
+        config: format!("trials={trials}"),
+        engine: engine.as_str().to_owned(),
+        run: 0,
+        seed,
+        cycles: 0,
+        guarded: trials as u64,
+        zero_stag: 0,
+        no_div: stats.silent_with_no_diversity,
+        episodes: 0,
+        violations: stats.detected_mismatch,
+        ok: true,
+        wall_us: None,
+    }
 }
 
 /// The CCF protocol: one aggregate cell per kernel, `runs` fault-injection
@@ -329,22 +288,7 @@ fn prepare_ccf(spec: &CampaignSpec, ks: &[&'static Kernel], engine: Engine) -> V
                     ..CampaignConfig::default()
                 })
                 .run_jobs(kernel, 1);
-                CellEvent {
-                    index: i as u64,
-                    kernel: kernel.name.to_owned(),
-                    config: format!("trials={trials}"),
-                    engine: engine.as_str().to_owned(),
-                    run: 0,
-                    seed,
-                    cycles: 0,
-                    guarded: trials as u64,
-                    zero_stag: 0,
-                    no_div: stats.silent_with_no_diversity,
-                    episodes: 0,
-                    violations: stats.detected_mismatch,
-                    ok: true,
-                    wall_us: None,
-                }
+                ccf_event(i as u64, kernel.name, trials, seed, engine, &stats)
             });
             CellTask { spec: cell_spec, compute }
         })
@@ -451,8 +395,9 @@ pub fn run(prepared: &Prepared, opts: &RunOptions) -> Result<RunOutcome, String>
     let mut skipped = 0u64;
     for ((&i, slot), t) in misses.iter().zip(computed).zip(&timings) {
         match slot {
-            Some((ev, line)) => {
-                events[i] = Some(CellEvent { wall_us: Some(duration_us(*t)), ..ev });
+            Some((mut ev, line)) => {
+                ev.wall_us = Some(duration_us(*t));
+                events[i] = Some(ev);
                 lines[i] = Some(line);
             }
             None => skipped += 1,

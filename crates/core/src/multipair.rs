@@ -52,7 +52,8 @@ impl MultiPairSoc {
     /// Byte stride between consecutive SafeDM APB banks.
     pub const BANK_STRIDE: u64 = 0x100;
 
-    /// Builds the SoC and one monitor per pair.
+    /// Builds the SoC and one monitor per pair, each bank powered on
+    /// enabled in `dm_cfg.report_mode` (see [`regs::power_on`]).
     ///
     /// # Panics
     ///
@@ -75,7 +76,7 @@ impl MultiPairSoc {
             seen[b] = true;
             let base = soc.config().apb_base + Self::BANK_STRIDE * i as u64;
             let mut bank = ApbRegisterFile::new(base, regmap::REG_COUNT);
-            bank.set_reg(regmap::CTRL, regs::reset_ctrl());
+            regs::power_on(&mut bank, dm_cfg.report_mode);
             let apb_index = soc.uncore_mut().add_apb_slave(bank);
             slots.push(PairSlot { cores: (a, b), dm: SafeDm::new(dm_cfg), apb_index });
         }
@@ -182,6 +183,7 @@ impl MultiPairSoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReportMode;
     use safedm_asm::Asm;
     use safedm_isa::Reg;
 
@@ -217,6 +219,41 @@ mod tests {
             sys.monitor(0).counters().no_div_cycles,
             sys.monitor(1).counters().no_div_cycles
         );
+    }
+
+    #[test]
+    fn configured_polling_mode_never_interrupts() {
+        let cfg = SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() };
+        let mut sys = MultiPairSoc::new(four_core(), cfg, &[(0, 1), (2, 3)]);
+        sys.load_program(&loop_prog(100));
+        assert!(sys.run(10_000_000).all_clean());
+        for i in 0..2 {
+            assert!(sys.monitor(i).counters().no_div_cycles > 0, "pair {i} stays in lockstep");
+            assert!(!sys.monitor(i).irq_pending(), "pair {i}");
+            assert_eq!(sys.apb_bank(i).reg(regmap::STATUS) & 1, 0, "pair {i}");
+        }
+    }
+
+    #[test]
+    fn configured_threshold_mode_interrupts_at_its_count() {
+        let k = 20;
+        let cfg = SafeDmConfig {
+            report_mode: ReportMode::InterruptThreshold(k),
+            ..SafeDmConfig::default()
+        };
+        let mut sys = MultiPairSoc::new(four_core(), cfg, &[(0, 1), (2, 3)]);
+        sys.load_program(&loop_prog(100));
+        for i in 0..2 {
+            assert_eq!(sys.apb_bank(i).reg(regmap::THRESHOLD), k, "pair {i}");
+        }
+        while !sys.soc().all_halted() {
+            sys.step();
+            for i in 0..2 {
+                let dm = sys.monitor(i);
+                assert_eq!(dm.irq_pending(), dm.counters().no_div_cycles >= k, "pair {i}");
+            }
+        }
+        assert!(sys.monitor(0).counters().no_div_cycles >= k, "the run reaches the threshold");
     }
 
     #[test]

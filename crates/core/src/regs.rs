@@ -96,10 +96,22 @@ pub fn apply_commands(dm: &mut SafeDm, rf: &mut ApbRegisterFile) {
     }
 }
 
-/// Power-on CTRL value: enabled, interrupt-on-first.
+/// CTRL value that enables the monitor in `mode`.
 #[must_use]
-pub fn reset_ctrl() -> u64 {
-    1
+pub fn enabled_ctrl(mode: ReportMode) -> u64 {
+    1 | (encode_mode(mode) << 1)
+}
+
+/// Power-on register values for a monitor configured with `mode`: CTRL
+/// enabled in that mode and, for [`ReportMode::InterruptThreshold`], its
+/// count in THRESHOLD. [`apply_commands`] reloads the mode from these
+/// registers every cycle, so a bank left at zero would override the
+/// configured mode on the first cycle.
+pub fn power_on(rf: &mut ApbRegisterFile, mode: ReportMode) {
+    rf.set_reg(regmap::CTRL, enabled_ctrl(mode));
+    if let ReportMode::InterruptThreshold(k) = mode {
+        rf.set_reg(regmap::THRESHOLD, k);
+    }
 }
 
 #[cfg(test)]
@@ -110,7 +122,7 @@ mod tests {
 
     fn bank() -> ApbRegisterFile {
         let mut rf = ApbRegisterFile::new(0xfc00_0000, regmap::REG_COUNT);
-        rf.set_reg(regmap::CTRL, reset_ctrl());
+        power_on(&mut rf, ReportMode::InterruptFirst);
         rf
     }
 
@@ -153,7 +165,7 @@ mod tests {
         dm.observe(&p, &p);
         assert!(dm.irq_pending());
         let mut rf = bank();
-        rf.set_reg(regmap::CTRL, reset_ctrl() | 0b1000);
+        rf.set_reg(regmap::CTRL, enabled_ctrl(ReportMode::InterruptFirst) | 0b1000);
         apply_commands(&mut dm, &mut rf);
         assert!(!dm.irq_pending());
         assert_eq!(rf.reg(regmap::CTRL) & 0b1000, 0, "W1C bit self-clears");

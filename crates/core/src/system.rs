@@ -86,7 +86,8 @@ pub struct MonitoredSoc {
 pub const SAFEDM_APB_OFFSET: u64 = 0;
 
 impl MonitoredSoc {
-    /// Builds the SoC, the monitor and the APB bank.
+    /// Builds the SoC, the monitor and the APB bank. The bank powers on
+    /// enabled in `dm_cfg.report_mode` (see [`regs::power_on`]).
     ///
     /// # Panics
     ///
@@ -98,7 +99,7 @@ impl MonitoredSoc {
         let mut soc = MpSoc::new(soc_cfg);
         let base = soc.config().apb_base + SAFEDM_APB_OFFSET;
         let mut bank = ApbRegisterFile::new(base, regmap::REG_COUNT);
-        bank.set_reg(regmap::CTRL, regs::reset_ctrl());
+        regs::power_on(&mut bank, dm_cfg.report_mode);
         let apb_index = soc.uncore_mut().add_apb_slave(bank);
         MonitoredSoc {
             soc,
@@ -333,6 +334,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReportMode;
     use safedm_asm::Asm;
     use safedm_isa::Reg;
 
@@ -405,6 +407,35 @@ mod tests {
             out.run.cycles
         );
         assert!(sys.safede().unwrap().stall_cycles() > 0);
+    }
+
+    #[test]
+    fn configured_polling_mode_never_interrupts() {
+        let cfg = SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() };
+        let mut sys = MonitoredSoc::new(SocConfig::default(), cfg);
+        sys.load_program(&loop_prog(100));
+        let out = sys.run(1_000_000);
+        assert!(out.no_div_cycles > 0, "the lockstep loop loses diversity");
+        assert!(!out.irq);
+        assert_eq!(sys.apb_bank().reg(regmap::STATUS) & 1, 0);
+    }
+
+    #[test]
+    fn configured_threshold_mode_interrupts_at_its_count() {
+        let k = 20;
+        let cfg = SafeDmConfig {
+            report_mode: ReportMode::InterruptThreshold(k),
+            ..SafeDmConfig::default()
+        };
+        let mut sys = MonitoredSoc::new(SocConfig::default(), cfg);
+        sys.load_program(&loop_prog(100));
+        assert_eq!(sys.apb_bank().reg(regmap::THRESHOLD), k);
+        while !sys.soc().all_halted() {
+            sys.step();
+            let dm = sys.monitor();
+            assert_eq!(dm.irq_pending(), dm.counters().no_div_cycles >= k);
+        }
+        assert!(sys.monitor().counters().no_div_cycles >= k, "the run reaches the threshold");
     }
 
     #[test]

@@ -157,7 +157,6 @@ fn observed_run(
         SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },
     );
     sys.load_program(&prog);
-    sys.write_ctrl(1 | (safedm::monitor::regs::encode_mode(ReportMode::Polling) << 1));
     sys.attach_obs(RunObserver::new(
         ObsConfig { trace_capacity: events.max(1) as usize, counter_interval: interval },
         sys.soc().core_count(),
@@ -902,9 +901,6 @@ fn run() -> Result<(), String> {
         SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },
     );
     sys.load_program(&prog);
-    // Program the APB CTRL register too (it overrides the config each cycle,
-    // as an RTOS write would).
-    sys.write_ctrl(1 | (safedm::monitor::regs::encode_mode(ReportMode::Polling) << 1));
 
     let trace_n = args::opt_u64(&args, "--trace")?;
     if let Some(n) = trace_n {

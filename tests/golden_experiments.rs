@@ -9,7 +9,6 @@
 
 use std::path::PathBuf;
 
-use safedm::monitor::SafeDmConfig;
 use safedm::tacle::kernels;
 use safedm_bench::experiments::{json, render_table1, summarize_table1, table1};
 
@@ -43,7 +42,7 @@ fn rows() -> &'static [safedm_bench::experiments::Table1Row] {
     ROWS.get_or_init(|| {
         let ks: Vec<&safedm::tacle::Kernel> =
             ["fac", "bitcount"].iter().map(|n| kernels::by_name(n).expect("kernel")).collect();
-        table1(&ks, SafeDmConfig::default())
+        table1(&ks, None, 1)
     })
 }
 

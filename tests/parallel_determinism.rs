@@ -4,16 +4,15 @@
 //! of worker count or scheduling. These tests pin that contract by
 //! rendering every user-visible artefact — Table I rows, text, JSON and
 //! metric snapshots; CCF campaign records and metric snapshots — from a
-//! serial baseline, a one-worker engine run, and a four-worker engine run,
-//! and comparing the bytes, across two root seeds.
+//! serial baseline, a one-worker campaign-service run, and a four-worker
+//! campaign-service run, and comparing the bytes, across two root seeds.
 
-use safedm::obs::events::{to_jsonl, Timing};
-use safedm::soc::Engine;
 use safedm::tacle::kernels;
 use safedm_bench::experiments::{
-    ccf_metrics, json, render_table1, summarize_table1, table1_cells, table1_events,
-    table1_metrics, table1_run_cells, table1_serial, table1_with_jobs,
+    ccf_metrics, json, render_table1, summarize_table1, table1, table1_metrics, table1_serial,
 };
+use safedm_bench::service::{run_spec, RunOptions};
+use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_faults::{run_injection, Campaign, CampaignConfig};
 
 fn table1_kernels() -> Vec<&'static safedm::tacle::Kernel> {
@@ -26,15 +25,17 @@ fn table1_is_byte_identical_across_jobs_and_vs_serial() {
     let dm = safedm::monitor::SafeDmConfig::default();
     for root_seed in [Some(1u64), Some(2u64)] {
         let serial = table1_serial(&ks, dm, root_seed);
-        let jobs1 = table1_with_jobs(&ks, dm, 1, root_seed, None);
-        let jobs4 = table1_with_jobs(&ks, dm, 4, root_seed, None);
+        let jobs1 = table1(&ks, root_seed, 1);
+        let jobs4 = table1(&ks, root_seed, 4);
 
         // Rows as rendered text.
         let render_serial = render_table1(&serial);
         assert_eq!(render_serial, render_table1(&jobs1), "root {root_seed:?}: jobs=1 vs serial");
         assert_eq!(render_serial, render_table1(&jobs4), "root {root_seed:?}: jobs=4 vs serial");
 
-        // The full JSON document (rows + summary).
+        // The full JSON document (rows + summary). Its `instructions` come
+        // from an ISS run on the service path and from core 0's retired
+        // count in the serial reference.
         let doc_serial = json::table1_document(&serial, &summarize_table1(&serial));
         let doc_jobs1 = json::table1_document(&jobs1, &summarize_table1(&jobs1));
         let doc_jobs4 = json::table1_document(&jobs4, &summarize_table1(&jobs4));
@@ -57,7 +58,7 @@ fn table1_legacy_seed_mode_matches_serial_protocol() {
     let ks = table1_kernels();
     let dm = safedm::monitor::SafeDmConfig::default();
     let serial = table1_serial(&ks, dm, None);
-    let jobs4 = table1_with_jobs(&ks, dm, 4, None, None);
+    let jobs4 = table1(&ks, None, 4);
     assert_eq!(render_table1(&serial), render_table1(&jobs4));
 }
 
@@ -66,19 +67,30 @@ fn fast_engine_is_deterministic_across_jobs() {
     // The fast engine's counters are instruction-count proxies, not cycle
     // verdicts — but they still obey the campaign contract: byte-identical
     // output for any worker count.
-    let ks = table1_kernels();
-    let dm = safedm::monitor::SafeDmConfig::default();
-    let cells = table1_cells(&ks, Some(1));
-    let (runs_1, timings_1) = table1_run_cells(&cells, dm, 1, None, Engine::Fast);
-    let (runs_4, timings_4) = table1_run_cells(&cells, dm, 4, None, Engine::Fast);
-    assert_eq!(runs_1, runs_4, "fast engine: jobs=1 vs jobs=4 summaries");
+    let spec = |jobs| CampaignSpec {
+        protocol: Protocol::Table1,
+        kernels: vec!["fac".to_owned(), "bitcount".to_owned()],
+        root_seed: Some(1),
+        engine: "fast".to_owned(),
+        jobs: Some(jobs),
+        ..CampaignSpec::default()
+    };
+    let run_1 = run_spec(&spec(1), &RunOptions::default()).expect("valid spec");
+    let run_4 = run_spec(&spec(4), &RunOptions::default()).expect("valid spec");
+    let counters = |events: &[safedm::obs::events::CellEvent]| {
+        events
+            .iter()
+            .map(|e| safedm::obs::events::CellEvent { wall_us: None, ..e.clone() })
+            .collect::<Vec<_>>()
+    };
     assert_eq!(
-        to_jsonl(&table1_events(&cells, &runs_1, &timings_1, Engine::Fast), Timing::Strip),
-        to_jsonl(&table1_events(&cells, &runs_4, &timings_4, Engine::Fast), Timing::Strip),
-        "fast engine: event streams"
+        counters(&run_1.events),
+        counters(&run_4.events),
+        "fast engine: jobs=1 vs jobs=4 events"
     );
+    assert_eq!(run_1.lines, run_4.lines, "fast engine: event streams");
     // Every cell still passes its checksum self-check on the fast engine.
-    assert!(runs_1.iter().all(|r| r.checksum_ok), "fast engine failed a checksum");
+    assert!(run_1.events.iter().all(|e| e.ok), "fast engine failed a checksum");
 }
 
 #[test]

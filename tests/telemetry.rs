@@ -10,15 +10,13 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use safedm::monitor::SafeDmConfig;
 use safedm::obs::aggregate::{heatmap, slowest_cells, summarize_by_kernel};
 use safedm::obs::events::{parse_jsonl, to_jsonl, CellEvent, Timing};
 use safedm::obs::report::{
     html_escape, html_heatmap, html_page, render_heatmap, render_kernel_table, render_slowest,
 };
-use safedm::tacle::kernels;
-use safedm_bench::experiments::{table1_cells, table1_events, table1_run_cells};
-use safedm_soc::Engine;
+use safedm_bench::service::{run_spec, RunOptions};
+use safedm_campaign::spec::{CampaignSpec, Protocol};
 
 /// A strategy over arbitrary event records: adversarial counter values
 /// (the full `u64` range) on a small vocabulary of kernel/config names.
@@ -103,14 +101,15 @@ fn parse_errors_name_the_line() {
 /// every worker count once timing is stripped.
 #[test]
 fn event_stream_is_byte_identical_across_jobs() {
-    let ks: Vec<&safedm::tacle::Kernel> =
-        ["fac", "bitcount"].iter().map(|n| kernels::by_name(n).expect("kernel")).collect();
-    let dm = SafeDmConfig::default();
-    let cells = table1_cells(&ks, Some(7));
-    let (runs1, times1) = table1_run_cells(&cells, dm, 1, None, Engine::Cycle);
-    let (runs4, times4) = table1_run_cells(&cells, dm, 4, None, Engine::Cycle);
-    let stream1 = to_jsonl(&table1_events(&cells, &runs1, &times1, Engine::Cycle), Timing::Strip);
-    let stream4 = to_jsonl(&table1_events(&cells, &runs4, &times4, Engine::Cycle), Timing::Strip);
+    let spec = |jobs| CampaignSpec {
+        protocol: Protocol::Table1,
+        kernels: vec!["fac".to_owned(), "bitcount".to_owned()],
+        root_seed: Some(7),
+        jobs: Some(jobs),
+        ..CampaignSpec::default()
+    };
+    let stream1 = run_spec(&spec(1), &RunOptions::default()).expect("valid spec").lines;
+    let stream4 = run_spec(&spec(4), &RunOptions::default()).expect("valid spec").lines;
     assert!(!stream1.is_empty());
     assert_eq!(stream1, stream4, "event stream differs between --jobs 1 and --jobs 4");
 }
