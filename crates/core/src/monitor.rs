@@ -94,6 +94,8 @@ pub struct SafeDm {
     enabled: bool,
     ds: [DataSignature; 2],
     is: [InstructionSignature; 2],
+    /// `(ds_match, is_match)` of the signatures as they stand.
+    matches: (bool, bool),
     diff: InstructionDiff,
     counters: DiversityCounters,
     no_div_episodes: EpisodeTracker,
@@ -118,6 +120,8 @@ impl SafeDm {
             enabled: true,
             ds: [DataSignature::new(&cfg), DataSignature::new(&cfg)],
             is: [InstructionSignature::new(&cfg), InstructionSignature::new(&cfg)],
+            // Two power-on signatures are equal.
+            matches: (true, true),
             diff: InstructionDiff::new(),
             counters: DiversityCounters::default(),
             no_div_episodes: EpisodeTracker::new(cfg.history_bins, cfg.history_bin_width),
@@ -152,21 +156,25 @@ impl SafeDm {
             return self.last;
         }
 
-        self.ds[0].capture(p0);
-        self.ds[1].capture(p1);
-        self.is[0].capture(p0);
-        self.is[1].capture(p1);
-
-        let ds_match = self.ds[0] == self.ds[1];
-        let is_match = self.is[0] == self.is[1];
+        // Both signatures are clock-gated by the hold signal, so on a joint
+        // hold neither changes and the standing comparison still holds.
+        if !p0.hold || !p1.hold {
+            self.ds[0].capture(p0);
+            self.ds[1].capture(p1);
+            self.is[0].capture(p0);
+            self.is[1].capture(p1);
+            self.matches = (self.ds[0] == self.ds[1], self.is[0] == self.is[1]);
+            if let Some(h) = self.hamming.as_mut() {
+                h.last = (self.ds[0].hamming(&self.ds[1]), self.is[0].hamming(&self.is[1]));
+            }
+        }
+        let (ds_match, is_match) = self.matches;
         if let Some(h) = self.hamming.as_mut() {
-            let dd = self.ds[0].hamming(&self.ds[1]);
-            let di = self.is[0].hamming(&self.is[1]);
+            let (dd, di) = h.last;
             h.ds_sum += u64::from(dd);
             h.is_sum += u64::from(di);
             h.min_total = h.min_total.min(dd + di);
             h.max_total = h.max_total.max(dd + di);
-            h.last = (dd, di);
         }
         let no_diversity = ds_match && is_match;
         let stagger = self.diff.update(p0.committed, p1.committed);
@@ -463,6 +471,25 @@ mod tests {
         let moving = probe(7, 0x93);
         let r = dm.observe(&held, &moving);
         assert!(!r.no_diversity, "held core retains old signature; moving core changed");
+    }
+
+    #[test]
+    fn joint_hold_keeps_the_standing_verdict() {
+        let mut dm = SafeDm::new(SafeDmConfig::default());
+        let mut held = probe(5, 0x13);
+        held.hold = true;
+        // A fresh monitor compares two power-on signatures: equal.
+        let r = dm.observe(&held, &held);
+        assert!(r.ds_match && r.is_match && r.no_diversity);
+        // Diverge, then hold both cores: the verdict stands, and so does
+        // the one after a reset.
+        dm.observe(&probe(1, 0x13), &probe(2, 0x93));
+        let r = dm.observe(&held, &held);
+        assert!(!r.ds_match && !r.is_match);
+        assert_eq!(dm.counters().no_div_cycles, 1);
+        dm.reset();
+        let r = dm.observe(&held, &held);
+        assert!(r.ds_match && r.is_match);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Data and Instruction Signature generators (paper, Section III-B, Fig. 2).
 
-use safedm_soc::{
-    CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH, READ_PORTS, WRITE_PORTS,
-};
+use safedm_soc::{CoreProbe, PIPE_STAGES, PIPE_WIDTH, READ_PORTS, WRITE_PORTS};
 
 use crate::{HoldFifo, IsLayout, SafeDmConfig};
 
@@ -12,10 +10,15 @@ pub const DATA_PORTS: usize = READ_PORTS + WRITE_PORTS;
 /// One data-FIFO entry: the port enable line plus the 64-bit data lines.
 pub type DataSample = (bool, u64);
 
-/// The Data Signature (DS) of one core: one hold-gated FIFO per register
-/// port, each holding the last *n* cycles of port samples. The signature is
-/// the concatenation of all FIFOs; two cores lack data diversity when their
-/// signatures are bit-identical (paper, Section III-B1).
+/// The Data Signature (DS) of one core: the register-port samples of the
+/// last *n* unheld cycles. The signature is the concatenation of all port
+/// FIFOs; two cores lack data diversity when their signatures are
+/// bit-identical (paper, Section III-B1).
+///
+/// All ports share the core's hold gate, so their FIFOs shift together and
+/// are stored as one FIFO of cycle rows: the `DATA_PORTS` port values
+/// (read ports, then write ports) and one word of enable bits, bit *i* for
+/// port *i*.
 ///
 /// # Examples
 ///
@@ -33,18 +36,14 @@ pub type DataSample = (bool, u64);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataSignature {
-    fifos: Vec<HoldFifo<DataSample>>, // READ_PORTS read ports then WRITE_PORTS write ports
+    rows: HoldFifo<[u64; DATA_PORTS + 1]>,
 }
 
 impl DataSignature {
     /// Creates the signature generator for `cfg`.
     #[must_use]
     pub fn new(cfg: &SafeDmConfig) -> DataSignature {
-        DataSignature {
-            fifos: (0..DATA_PORTS)
-                .map(|_| HoldFifo::new(cfg.data_fifo_depth, (false, 0)))
-                .collect(),
-        }
+        DataSignature { rows: HoldFifo::new(cfg.data_fifo_depth, [0; DATA_PORTS + 1]) }
     }
 
     /// Captures one cycle of register-port activity. When the probe reports
@@ -53,63 +52,66 @@ impl DataSignature {
         if probe.hold {
             return;
         }
-        let sample = |p: &PortSample| (p.enable, p.value);
-        for (i, port) in probe.reads.iter().enumerate() {
-            self.fifos[i].shift(sample(port));
+        let mut row = [0; DATA_PORTS + 1];
+        for (i, port) in probe.reads.iter().chain(&probe.writes).enumerate() {
+            row[i] = port.value;
+            row[DATA_PORTS] |= u64::from(port.enable) << i;
         }
-        for (i, port) in probe.writes.iter().enumerate() {
-            self.fifos[READ_PORTS + i].shift(sample(port));
-        }
+        self.rows.shift(row);
     }
 
     /// The concatenated signature, port-major, oldest sample first — the DS
     /// bit vector of the paper in `(enable, value)` tuples.
     #[must_use]
     pub fn bits(&self) -> Vec<DataSample> {
-        self.fifos.iter().flat_map(|f| f.entries().iter().copied()).collect()
+        let rows = self.rows.entries();
+        (0..DATA_PORTS)
+            .flat_map(|port| rows.iter().map(move |r| ((r[DATA_PORTS] >> port) & 1 != 0, r[port])))
+            .collect()
     }
 
     /// Signature width in bits (65 bits per entry: 64 data + 1 enable).
     #[must_use]
     pub fn width_bits(&self) -> usize {
-        self.fifos.iter().map(|f| f.depth() * 65).sum()
+        DATA_PORTS * self.rows.depth() * 65
     }
 
     /// Hamming distance to `other` in signature bits (0 ⇔ equal). A
     /// *magnitude* of data diversity beyond the paper's binary verdict.
     #[must_use]
     pub fn hamming(&self, other: &DataSignature) -> u32 {
-        let mut d = 0u32;
-        for (fa, fb) in self.fifos.iter().zip(&other.fifos) {
-            for (&(ea, va), &(eb, vb)) in fa.entries().iter().zip(fb.entries()) {
-                d += u32::from(ea != eb) + (va ^ vb).count_ones();
-            }
-        }
-        d
+        self.rows
+            .entries()
+            .iter()
+            .flatten()
+            .zip(other.rows.entries().iter().flatten())
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum()
     }
 
     /// Resets all FIFOs to the power-on state.
     pub fn reset(&mut self) {
-        for f in &mut self.fifos {
-            f.reset((false, 0));
-        }
+        self.rows.reset([0; DATA_PORTS + 1]);
     }
 }
+
+/// Number of instruction slots in the pipeline.
+const IS_SLOTS: usize = PIPE_STAGES * PIPE_WIDTH;
 
 /// The Instruction Signature (IS) of one core (paper, Section III-B2).
 ///
 /// In [`IsLayout::PerStage`] the signature is the per-stage slot occupancy
 /// `I_x^y` of Fig. 2b: `(valid, encoding)` for each of the `o × p` slots.
 /// In [`IsLayout::InFlight`] it degrades to the flat list of in-flight
-/// instruction encodings.
+/// instruction encodings. Either way each slot is stored as the word
+/// `valid << 32 | encoding`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstructionSignature {
     layout: IsLayout,
     include_stale: bool,
-    /// Per-stage capture (PerStage layout).
-    stages: [[(bool, u32); PIPE_WIDTH]; PIPE_STAGES],
-    /// Flat in-flight list, padded with invalid entries (InFlight layout).
-    flat: Vec<(bool, u32)>,
+    /// Stage-major slots (PerStage), or the in-flight list oldest first,
+    /// padded with invalid entries (InFlight).
+    slots: [u64; IS_SLOTS],
 }
 
 impl InstructionSignature {
@@ -119,8 +121,7 @@ impl InstructionSignature {
         InstructionSignature {
             layout: cfg.is_layout,
             include_stale: cfg.include_stale_bits,
-            stages: [[(false, 0); PIPE_WIDTH]; PIPE_STAGES],
-            flat: vec![(false, 0); PIPE_STAGES * PIPE_WIDTH],
+            slots: [0; IS_SLOTS],
         }
     }
 
@@ -130,34 +131,27 @@ impl InstructionSignature {
         if probe.hold {
             return;
         }
-        let view = |s: &StageSlot| {
-            if s.valid {
-                (true, s.raw)
-            } else if self.include_stale {
-                (false, s.raw)
-            } else {
-                (false, 0)
-            }
-        };
+        const VALID: u64 = 1 << 32;
         match self.layout {
             IsLayout::PerStage => {
-                for (i, stage) in probe.stages.iter().enumerate() {
-                    for (j, slot) in stage.iter().enumerate() {
-                        self.stages[i][j] = view(slot);
-                    }
+                for (word, s) in self.slots.iter_mut().zip(probe.stages.iter().flatten()) {
+                    *word = if s.valid {
+                        VALID | u64::from(s.raw)
+                    } else if self.include_stale {
+                        u64::from(s.raw)
+                    } else {
+                        0
+                    };
                 }
             }
             IsLayout::InFlight => {
                 // Oldest (WB) first so the list is ordered by program age.
-                self.flat.clear();
-                for stage in probe.stages.iter().rev() {
-                    for slot in stage {
-                        if slot.valid {
-                            self.flat.push((true, slot.raw));
-                        }
-                    }
+                let mut n = 0;
+                for s in probe.stages.iter().rev().flatten().filter(|s| s.valid) {
+                    self.slots[n] = VALID | u64::from(s.raw);
+                    n += 1;
                 }
-                self.flat.resize(PIPE_STAGES * PIPE_WIDTH, (false, 0));
+                self.slots[n..].fill(0);
             }
         }
     }
@@ -165,34 +159,25 @@ impl InstructionSignature {
     /// The signature as `(valid, encoding)` entries.
     #[must_use]
     pub fn bits(&self) -> Vec<(bool, u32)> {
-        match self.layout {
-            IsLayout::PerStage => self.stages.iter().flatten().copied().collect(),
-            IsLayout::InFlight => self.flat.clone(),
-        }
+        self.slots.iter().map(|&w| (w >> 32 != 0, w as u32)).collect()
     }
 
     /// Signature width in bits (33 bits per slot: 32 encoding + 1 valid).
     #[must_use]
     pub fn width_bits(&self) -> usize {
-        PIPE_STAGES * PIPE_WIDTH * 33
+        IS_SLOTS * 33
     }
 
     /// Hamming distance to `other` in signature bits (0 ⇔ equal when both
     /// use the same layout).
     #[must_use]
     pub fn hamming(&self, other: &InstructionSignature) -> u32 {
-        let a = self.bits();
-        let b = other.bits();
-        a.iter()
-            .zip(&b)
-            .map(|(&(va, ra), &(vb, rb))| u32::from(va != vb) + (ra ^ rb).count_ones())
-            .sum()
+        self.slots.iter().zip(&other.slots).map(|(a, b)| (a ^ b).count_ones()).sum()
     }
 
     /// Resets to the power-on state.
     pub fn reset(&mut self) {
-        self.stages = [[(false, 0); PIPE_WIDTH]; PIPE_STAGES];
-        self.flat = vec![(false, 0); PIPE_STAGES * PIPE_WIDTH];
+        self.slots = [0; IS_SLOTS];
     }
 }
 

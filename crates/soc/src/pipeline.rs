@@ -11,6 +11,7 @@
 //! store drain) and producing a fresh [`CoreProbe`] for the diversity
 //! monitor.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use safedm_isa::csr::CsrFile;
@@ -178,7 +179,7 @@ pub struct Core {
     sb_force: bool,
     probe: CoreProbe,
     stats: CoreStats,
-    commit_trace: Option<(Vec<CommitRecord>, usize)>,
+    commit_trace: Option<(VecDeque<CommitRecord>, usize)>,
     last_commit_pc: Option<u64>,
 }
 
@@ -241,12 +242,12 @@ impl Core {
     /// Enables the commit trace, keeping the most recent `capacity`
     /// committed instructions (the model's Modelsim-style instruction log).
     pub fn enable_commit_trace(&mut self, capacity: usize) {
-        self.commit_trace = Some((Vec::with_capacity(capacity.min(1 << 20)), capacity));
+        self.commit_trace = Some((VecDeque::with_capacity(capacity.min(1 << 20)), capacity));
     }
 
     /// Takes the recorded commit trace (oldest first) and disables tracing.
     pub fn take_commit_trace(&mut self) -> Vec<CommitRecord> {
-        self.commit_trace.take().map(|(v, _)| v).unwrap_or_default()
+        self.commit_trace.take().map(|(v, _)| v.into()).unwrap_or_default()
     }
 
     /// The core index (== `mhartid`).
@@ -465,9 +466,9 @@ impl Core {
                 let inst = slot.inst();
                 if let Some((trace, cap)) = self.commit_trace.as_mut() {
                     if trace.len() >= *cap {
-                        trace.remove(0);
+                        trace.pop_front();
                     }
-                    trace.push(CommitRecord {
+                    trace.push_back(CommitRecord {
                         cycle: self.csrs.mcycle,
                         pc: slot.pc,
                         raw: slot.raw,
@@ -958,6 +959,22 @@ impl Core {
     fn process_load(&mut self, uncore: &mut Uncore, i: usize, kind: LoadKind) -> bool {
         let slot = self.stages[ME][i].as_ref().expect("slot exists");
         let (addr, pc) = (slot.eff_addr, slot.pc);
+        if slot.fill_issued {
+            // Only the fill can complete this load now. Stores enter the
+            // buffer only at `ME`, which this load holds, and dual issue
+            // never pairs two memory ops, so the forward that found nothing
+            // when the fill was issued would still find nothing.
+            if let Some(BusResult::Done) = uncore.take_done(self.data_port()) {
+                let space = self.data_space(addr);
+                self.l1d.fill(space.fold(self.l1d.line_base(addr)));
+                let window = uncore.mem.read_dword_window(space, addr);
+                let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                slot.result = Some(load_value(kind, window, addr));
+                slot.mem_done = true;
+                return true;
+            }
+            return false;
+        }
         let size = kind.size();
         if !is_aligned(addr, size) {
             self.trap(TrapCause::MisalignedAccess { pc, addr });
@@ -986,16 +1003,6 @@ impl Core {
             SbForward::None => {
                 let key = space.fold(self.l1d.line_base(addr));
                 let slot = self.stages[ME][i].as_mut().expect("slot exists");
-                if slot.fill_issued {
-                    if let Some(BusResult::Done) = uncore.take_done(self.data_port()) {
-                        self.l1d.fill(key);
-                        let slot = self.stages[ME][i].as_mut().expect("slot exists");
-                        slot.result = Some(load_value(kind, window, addr));
-                        slot.mem_done = true;
-                        return true;
-                    }
-                    return false;
-                }
                 if self.l1d.lookup(key) {
                     slot.result = Some(load_value(kind, window, addr));
                     slot.mem_done = true;
@@ -1378,14 +1385,22 @@ mod tests {
         a.ebreak();
         let prog = a.link(0x8000_0000).unwrap();
         let cfg = SocConfig { cores: 1, ..SocConfig::default() };
-        let mut soc = MpSoc::new(cfg);
-        soc.load_program(&prog);
-        soc.core_mut(0).enable_commit_trace(10);
-        assert!(soc.run(100_000).all_clean());
-        let trace = soc.core_mut(0).take_commit_trace();
+        let trace_of = |capacity: usize| {
+            let mut soc = MpSoc::new(cfg.clone());
+            soc.load_program(&prog);
+            soc.core_mut(0).enable_commit_trace(capacity);
+            assert!(soc.run(100_000).all_clean());
+            soc.core_mut(0).take_commit_trace()
+        };
+        let trace = trace_of(10);
         assert_eq!(trace.len(), 10, "ring keeps only the newest");
         // the last record is the ebreak
         assert!(trace.last().unwrap().to_string().contains("ebreak"));
+        // The kept records are the last ten of an unbounded trace, oldest
+        // first.
+        let full = trace_of(1_000);
+        assert!((200..1_000).contains(&full.len()), "two records per loop iteration");
+        assert_eq!(trace[..], full[full.len() - 10..]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Golden-file pinning of the Table I artefacts: the rendered text table
+//! Golden-file pinning of the Table I artefacts (the rendered text table
 //! and the JSON document, for the legacy (paper-protocol) seed mode on two
-//! small kernels.
+//! small kernels) and of the monitor's full counter state.
 //!
 //! These fixtures freeze the *bytes* a release tarball would ship — any
 //! formatting drift, row reordering, or numeric change in the simulated
@@ -9,7 +9,11 @@
 
 use std::path::PathBuf;
 
-use safedm::tacle::kernels;
+use safedm::asm::{Asm, Program};
+use safedm::isa::Reg;
+use safedm::monitor::{regs, IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
+use safedm::soc::SocConfig;
+use safedm::tacle::{build_kernel_program, kernels, HarnessConfig, StaggerConfig};
 use safedm_bench::experiments::{json, render_table1, summarize_table1, table1};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -56,4 +60,129 @@ fn table1_json_document_matches_golden() {
     let rows = rows();
     let summary = summarize_table1(rows);
     check_golden("table1_document.json", &json::table1_document(rows, &summary));
+}
+
+/// One monitored cell of the monitor-state golden, run as
+/// `experiments::run_cell` runs a cycle-engine cell (memory jitter 2, seed
+/// 1, polling mode), with the monitor held off until the first commit.
+fn monitor_cell(prog: &Program, dm_cfg: SafeDmConfig) -> String {
+    let soc_cfg = SocConfig { mem_jitter: 2, jitter_seed: 1, ..SocConfig::default() };
+    let dm_cfg = SafeDmConfig { report_mode: ReportMode::Polling, ..dm_cfg };
+    let mut sys = MonitoredSoc::new(soc_cfg, dm_cfg);
+    sys.load_program(prog);
+    sys.write_ctrl(0);
+    while sys.soc().core(0).retired() == 0 && sys.soc().core(1).retired() == 0 {
+        sys.step();
+    }
+    let seed_diff = sys.soc().core(0).retired() as i64 - sys.soc().core(1).retired() as i64;
+    sys.monitor_mut().preset_diff(seed_diff);
+    sys.write_ctrl(regs::enabled_ctrl(ReportMode::Polling));
+    let out = sys.run(5_000_000);
+    assert!(out.run.all_clean(), "cell must halt cleanly");
+    let dm = sys.monitor();
+    let c = dm.counters();
+    let mut line = format!(
+        "cycles={} observed={} ds_match={} is_match={} no_div={} zero_stag={} \
+         max_no_div_run={} episodes(no_div,ds,is)=({},{},{}) no_div_bins={:?}",
+        out.run.cycles,
+        c.cycles_observed,
+        c.ds_match_cycles,
+        c.is_match_cycles,
+        c.no_div_cycles,
+        out.zero_stag_cycles,
+        dm.max_no_div_run(),
+        dm.no_diversity_history().total_episodes(),
+        dm.ds_match_history().total_episodes(),
+        dm.is_match_history().total_episodes(),
+        dm.no_diversity_history().bins(),
+    );
+    if let Some(h) = dm.hamming_stats() {
+        line += &format!(
+            " hamming(ds_sum,is_sum,min,max,last)=({},{},{},{},{:?})",
+            h.ds_sum, h.is_sum, h.min_total, h.max_total, h.last
+        );
+    }
+    line
+}
+
+/// A line-stride read-modify-write stream over `bytes` of private data,
+/// `passes` times: both cores stall on memory together, so most cycles are
+/// joint holds.
+fn stride_stream(bytes: u64, passes: i64) -> Program {
+    let line = SocConfig::default().l1d.line_bytes;
+    let mut a = Asm::new();
+    a.li(Reg::T0, (SocConfig::default().ram_base + (4 << 20)) as i64);
+    a.li(Reg::T2, passes);
+    a.li(Reg::A0, 0);
+    let outer = a.here("outer");
+    a.mv(Reg::T3, Reg::T0);
+    a.li(Reg::T4, (bytes / line) as i64);
+    let inner = a.here("inner");
+    a.ld(Reg::T5, 0, Reg::T3);
+    a.addi(Reg::T5, Reg::T5, 3);
+    a.sd(Reg::T5, 0, Reg::T3);
+    a.add(Reg::A0, Reg::A0, Reg::T5);
+    a.addi(Reg::T3, Reg::T3, line as i64);
+    a.addi(Reg::T4, Reg::T4, -1);
+    a.bnez(Reg::T4, inner);
+    a.addi(Reg::T2, Reg::T2, -1);
+    a.bnez(Reg::T2, outer);
+    a.ebreak();
+    a.link(SocConfig::default().ram_base).expect("the stream assembles")
+}
+
+/// Every counter, episode total and history bin of the monitor over
+/// kernel cells, a stall-heavy stream, and the FIFO-depth, IS-layout and
+/// Hamming options: the monitor's whole observable state, pinned so that
+/// a faster monitor must reproduce it exactly.
+#[test]
+fn monitor_counters_match_golden() {
+    let kernel = |name: &str, nops: usize| {
+        let stagger = (nops != 0).then_some(StaggerConfig { nops, delayed_core: 0 });
+        let harness = HarnessConfig { stagger, ..HarnessConfig::default() };
+        build_kernel_program(kernels::by_name(name).expect("kernel"), &harness)
+    };
+    let base = SafeDmConfig::default();
+    let cells: Vec<(String, Program, SafeDmConfig)> = vec![
+        ("fac nops=0".into(), kernel("fac", 0), base),
+        ("fac nops=100".into(), kernel("fac", 100), base),
+        ("bitcount nops=0".into(), kernel("bitcount", 0), base),
+        ("bitcount nops=100".into(), kernel("bitcount", 100), base),
+        (
+            "stride_rmw 2xL1D".into(),
+            stride_stream(2 * SocConfig::default().l1d.capacity(), 2),
+            base,
+        ),
+        (
+            "bitcount nops=0 depth=1".into(),
+            kernel("bitcount", 0),
+            SafeDmConfig { data_fifo_depth: 1, ..base },
+        ),
+        (
+            "bitcount nops=0 depth=16".into(),
+            kernel("bitcount", 0),
+            SafeDmConfig { data_fifo_depth: 16, ..base },
+        ),
+        (
+            "bitcount nops=100 in_flight".into(),
+            kernel("bitcount", 100),
+            SafeDmConfig { is_layout: IsLayout::InFlight, ..base },
+        ),
+        (
+            "bitcount nops=0 hamming".into(),
+            kernel("bitcount", 0),
+            SafeDmConfig { track_hamming: true, ..base },
+        ),
+    ];
+    // One thread per cell keeps the unoptimised test build quick.
+    let lines: Vec<String> = std::thread::scope(|s| {
+        let cells: Vec<_> = cells
+            .iter()
+            .map(|(name, prog, cfg)| {
+                s.spawn(move || format!("{name}: {}", monitor_cell(prog, *cfg)))
+            })
+            .collect();
+        cells.into_iter().map(|h| h.join().expect("cell thread")).collect()
+    });
+    check_golden("monitor_counters.txt", &(lines.join("\n") + "\n"));
 }

@@ -1,9 +1,13 @@
 //! Property tests of the SafeDM monitor over random probe streams, plus
 //! invariants of the campaign engine's per-cell seed derivation.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 use safedm::campaign::{derive_cell_seed, ConfigGrid};
-use safedm::monitor::{SafeDm, SafeDmConfig};
+use safedm::monitor::{
+    CycleReport, DiversityCounters, HammingStats, IsLayout, SafeDm, SafeDmConfig, DATA_PORTS,
+};
 use safedm::soc::{CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH, READ_PORTS};
 
 #[derive(Debug, Clone)]
@@ -140,6 +144,204 @@ proptest! {
             if shifted < depth {
                 prop_assert!(!r.ds_match, "divergent sample must persist {depth} cycles");
             }
+        }
+    }
+}
+
+/// A naive SafeDM: one `VecDeque` FIFO per port and a plain slot list per
+/// core, recompared in full every cycle.
+struct ReferenceMonitor {
+    layout: IsLayout,
+    include_stale: bool,
+    ds: [Vec<VecDeque<(bool, u64)>>; 2],
+    is: [Vec<(bool, u32)>; 2],
+    stagger: i64,
+    counters: DiversityCounters,
+    hamming: HammingStats,
+}
+
+impl ReferenceMonitor {
+    fn new(cfg: &SafeDmConfig) -> ReferenceMonitor {
+        let fifos = vec![VecDeque::from(vec![(false, 0); cfg.data_fifo_depth]); DATA_PORTS];
+        let slots = vec![(false, 0); PIPE_STAGES * PIPE_WIDTH];
+        ReferenceMonitor {
+            layout: cfg.is_layout,
+            include_stale: cfg.include_stale_bits,
+            ds: [fifos.clone(), fifos],
+            is: [slots.clone(), slots],
+            stagger: 0,
+            counters: DiversityCounters::default(),
+            hamming: HammingStats { min_total: u32::MAX, ..HammingStats::default() },
+        }
+    }
+
+    fn slots(&self, p: &CoreProbe) -> Vec<(bool, u32)> {
+        let mut slots: Vec<(bool, u32)> = match self.layout {
+            IsLayout::PerStage => p
+                .stages
+                .iter()
+                .flatten()
+                .map(|s| match (s.valid, self.include_stale) {
+                    (true, _) => (true, s.raw),
+                    (false, true) => (false, s.raw),
+                    (false, false) => (false, 0),
+                })
+                .collect(),
+            IsLayout::InFlight => {
+                p.stages.iter().rev().flatten().filter(|s| s.valid).map(|s| (true, s.raw)).collect()
+            }
+        };
+        slots.resize(PIPE_STAGES * PIPE_WIDTH, (false, 0));
+        slots
+    }
+
+    fn observe(&mut self, probes: [&CoreProbe; 2]) -> CycleReport {
+        for (c, p) in probes.into_iter().enumerate() {
+            if p.hold {
+                continue;
+            }
+            for (fifo, port) in self.ds[c].iter_mut().zip(p.reads.iter().chain(&p.writes)) {
+                fifo.pop_front();
+                fifo.push_back((port.enable, port.value));
+            }
+            self.is[c] = self.slots(p);
+        }
+        let ds_match = self.ds[0] == self.ds[1];
+        let is_match = self.is[0] == self.is[1];
+        let ds_dist: u32 = (self.ds[0].iter().flatten())
+            .zip(self.ds[1].iter().flatten())
+            .map(|(&(ea, va), &(eb, vb))| u32::from(ea != eb) + (va ^ vb).count_ones())
+            .sum();
+        let is_dist: u32 = (self.is[0].iter())
+            .zip(&self.is[1])
+            .map(|(&(va, ra), &(vb, rb))| u32::from(va != vb) + (ra ^ rb).count_ones())
+            .sum();
+        let h = &mut self.hamming;
+        h.ds_sum += u64::from(ds_dist);
+        h.is_sum += u64::from(is_dist);
+        h.min_total = h.min_total.min(ds_dist + is_dist);
+        h.max_total = h.max_total.max(ds_dist + is_dist);
+        h.last = (ds_dist, is_dist);
+        self.stagger += i64::from(probes[0].committed) - i64::from(probes[1].committed);
+        let no_diversity = ds_match && is_match;
+        let c = &mut self.counters;
+        c.cycles_observed += 1;
+        c.ds_match_cycles += u64::from(ds_match);
+        c.is_match_cycles += u64::from(is_match);
+        c.no_div_cycles += u64::from(no_diversity);
+        CycleReport {
+            ds_match,
+            is_match,
+            no_diversity,
+            zero_stagger: self.stagger == 0,
+            observed: true,
+        }
+    }
+}
+
+/// One cycle of a redundant pair: a sample both cores share, an optional
+/// one-core deviation, a hold flag both cores share plus one each.
+#[derive(Debug, Clone)]
+struct PairStep {
+    joint_hold: bool,
+    own_hold: [bool; 2],
+    ports: Vec<(bool, u64)>,
+    slots: Vec<(bool, u32)>,
+    /// `(core, field, value)`: fields below `DATA_PORTS` change a port
+    /// value, the others a slot's encoding and valid bit.
+    deviation: Option<(usize, usize, u64)>,
+    committed: [u8; 2],
+}
+
+fn any_pair_step() -> impl Strategy<Value = PairStep> {
+    // Small value domains make equal signatures, and so matches, common.
+    let deviation = (0usize..2, 0..DATA_PORTS + PIPE_STAGES * PIPE_WIDTH, 0u64..4);
+    (
+        proptest::bool::weighted(0.5),
+        (proptest::bool::weighted(0.15), proptest::bool::weighted(0.15)),
+        proptest::collection::vec((any::<bool>(), 0u64..3), DATA_PORTS),
+        proptest::collection::vec((any::<bool>(), 0u32..3), PIPE_STAGES * PIPE_WIDTH),
+        (proptest::bool::weighted(0.2), deviation),
+        (0u8..=2, 0u8..=2),
+    )
+        .prop_map(|(joint_hold, (h0, h1), ports, slots, (deviate, deviation), (c0, c1))| {
+            PairStep {
+                joint_hold,
+                own_hold: [h0, h1],
+                ports,
+                slots,
+                deviation: deviate.then_some(deviation),
+                committed: [c0, c1],
+            }
+        })
+}
+
+/// Core `core`'s probe for `step`. A held core still drives its wires; the
+/// monitor must ignore them.
+fn pair_probe(step: &PairStep, core: usize) -> CoreProbe {
+    let mut p = CoreProbe {
+        hold: step.joint_hold || step.own_hold[core],
+        committed: step.committed[core],
+        ..CoreProbe::default()
+    };
+    for (i, &(enable, value)) in step.ports.iter().enumerate() {
+        let port = PortSample { enable, value };
+        if i < READ_PORTS {
+            p.reads[i] = port;
+        } else {
+            p.writes[i - READ_PORTS] = port;
+        }
+    }
+    for (i, &(valid, raw)) in step.slots.iter().enumerate() {
+        p.stages[i / PIPE_WIDTH][i % PIPE_WIDTH] = StageSlot { valid, raw };
+    }
+    if let Some((c, field, v)) = step.deviation {
+        if c == core && field < DATA_PORTS {
+            let port = if field < READ_PORTS {
+                &mut p.reads[field]
+            } else {
+                &mut p.writes[field - READ_PORTS]
+            };
+            port.value ^= v + 1;
+        } else if c == core {
+            let i = field - DATA_PORTS;
+            let slot = &mut p.stages[i / PIPE_WIDTH][i % PIPE_WIDTH];
+            slot.raw ^= v as u32 + 1;
+            slot.valid ^= v & 1 == 0;
+        }
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `SafeDm` (ring FIFOs, flat signatures, verdict reuse on joint holds)
+    /// agrees with the naive reference on every cycle: report, counters
+    /// and Hamming statistics.
+    #[test]
+    fn monitor_matches_naive_reference(
+        depth in 1usize..=16,
+        in_flight in any::<bool>(),
+        include_stale_bits in any::<bool>(),
+        steps in proptest::collection::vec(any_pair_step(), 1..120),
+    ) {
+        let cfg = SafeDmConfig {
+            data_fifo_depth: depth,
+            is_layout: if in_flight { IsLayout::InFlight } else { IsLayout::PerStage },
+            include_stale_bits,
+            track_hamming: true,
+            ..SafeDmConfig::default()
+        };
+        let mut dm = SafeDm::new(cfg);
+        let mut reference = ReferenceMonitor::new(&cfg);
+        for (cycle, step) in steps.iter().enumerate() {
+            let (p0, p1) = (pair_probe(step, 0), pair_probe(step, 1));
+            let got = dm.observe(&p0, &p1);
+            let want = reference.observe([&p0, &p1]);
+            prop_assert_eq!(got, want, "report at cycle {}", cycle);
+            prop_assert_eq!(dm.counters(), reference.counters, "counters at cycle {}", cycle);
+            prop_assert_eq!(dm.hamming_stats(), Some(reference.hamming), "hamming at cycle {}", cycle);
         }
     }
 }
