@@ -63,6 +63,7 @@ pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
 pub mod diag;
+pub mod gate;
 pub mod lints;
 pub mod sarif;
 pub mod summary;
@@ -76,6 +77,7 @@ pub use callgraph::{CallGraph, CallSite, CallTarget, Function};
 pub use cfg::{BasicBlock, Cfg, DecodedProgram, NaturalLoop, Slot, Terminator};
 pub use dataflow::{ConstProp, ConstVal, Liveness, LoopTraffic, ReachingDefs, Taint};
 pub use diag::{Diagnostic, Level, LintCode, LintLevels, PcSpan, Severity};
+pub use gate::{DiversityGate, GateCheck};
 pub use lints::{registry, LintContext, LintPass};
 pub use summary::{CallEffect, FnSummary, Interproc, Summaries, ALL_WRITABLE};
 

@@ -37,14 +37,13 @@ fn run(name: &str, policy: ArbitrationPolicy) -> RunOut {
         SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },
     );
     sys.load_program(&prog);
-    sys.enable_trace();
-    let out = sys.run(200_000_000);
+    // Which core led (positive diff = core 0 ahead)? Cycles core 0 led
+    // minus cycles core 1 led.
+    let mut bias = 0i64;
+    let out = sys.run_with(200_000_000, |sys, _| {
+        bias += sys.monitor().instruction_diff().value().signum();
+    });
     assert!(out.run.all_clean(), "{name}: {:?}", out.run.exits);
-    let trace = sys.take_trace();
-    // Which core led (positive diff = core 0 ahead)?
-    let lead_core0 = trace.iter().filter(|s| s.diff > 0).count() as i64;
-    let lead_core1 = trace.iter().filter(|s| s.diff < 0).count() as i64;
-    let bias = lead_core0 - lead_core1;
     RunOut {
         zero_stag: out.zero_stag_cycles,
         no_div: out.no_div_cycles,

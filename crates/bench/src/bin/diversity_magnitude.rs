@@ -9,6 +9,7 @@
 //! [--kernel NAME]`
 
 use safedm_bench::args;
+use safedm_bench::experiments::RUN_BUDGET;
 use safedm_core::{MonitoredSoc, ReportMode, SafeDmConfig};
 use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, kernels, HarnessConfig};
@@ -33,20 +34,16 @@ fn main() {
     // Histogram of combined per-cycle distances, log2 bins.
     let mut bins = [0u64; 16];
     let mut observed = 0u64;
-    loop {
-        if sys.soc().all_halted() {
-            break;
-        }
-        let r = sys.step();
+    sys.run_with(RUN_BUDGET, |sys, r| {
         if !r.observed {
-            continue;
+            return;
         }
         observed += 1;
         let h = sys.monitor().hamming_stats().expect("tracking enabled");
         let total = u64::from(h.last.0) + u64::from(h.last.1);
         let bin = if total == 0 { 0 } else { (64 - total.leading_zeros()) as usize };
         bins[bin.min(bins.len() - 1)] += 1;
-    }
+    });
     let h = sys.monitor().hamming_stats().expect("tracking enabled");
 
     println!("EXTENSION E1: diversity magnitude for `{name}` (synchronised start)");

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use safedm_analysis::{analyze, prove, AnalysisConfig, PcSpan};
 use safedm_asm::{Asm, Program};
 use safedm_bench::args;
-use safedm_bench::experiments::{run_cells_with_telemetry, Telemetry};
+use safedm_bench::experiments::{run_cells_with_telemetry, SoundnessGuard, Telemetry};
 use safedm_campaign::ConfigGrid;
 use safedm_core::{MonitoredSoc, SafeDmConfig};
 use safedm_isa::Reg;
@@ -173,22 +173,12 @@ struct CellOut {
 
 fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
     let dm_cfg = SafeDmConfig::default();
-    let warmup = 2 * dm_cfg.data_fifo_depth as u64;
     let mut sys = MonitoredSoc::new(SocConfig::default(), dm_cfg);
     sys.load_program(&setup.prog);
 
-    let mut streak = 0u64;
-    let mut streak_span: Option<usize> = None;
-    let mut guarded = 0u64;
-    let mut violations = Vec::new();
+    let mut guard = SoundnessGuard::new(&dm_cfg);
     let mut collision_nodiv = 0u64;
-    for _ in 0..max_cycles {
-        if sys.soc().all_halted()
-            && (0..sys.soc().core_count()).all(|i| sys.soc().core(i).store_buffer_len() == 0)
-        {
-            break;
-        }
-        let rep = sys.step();
+    sys.run_with(max_cycles, |sys, rep| {
         let pcs = (sys.soc().core(0).last_commit_pc(), sys.soc().core(1).last_commit_pc());
         let both_in = |regions: &[Vec<PcSpan>]| match pcs {
             (Some(p0), Some(p1)) => regions
@@ -196,34 +186,11 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
                 .position(|r| r.iter().any(|s| s.contains(p0)) && r.iter().any(|s| s.contains(p1))),
             _ => None,
         };
-        match (rep.observed, both_in(&setup.diverse)) {
-            (true, Some(si)) => {
-                if streak_span == Some(si) {
-                    streak += 1;
-                } else {
-                    streak_span = Some(si);
-                    streak = 1;
-                }
-            }
-            _ => {
-                streak = 0;
-                streak_span = None;
-            }
+        guard.observe(sys, rep, both_in(&setup.diverse));
+        if rep.observed && rep.no_diversity && both_in(&setup.collision).is_some() {
+            collision_nodiv += 1;
         }
-        if streak >= warmup {
-            guarded += 1;
-        }
-        if rep.observed && rep.no_diversity {
-            if streak >= warmup {
-                let (p0, p1) = (pcs.0.unwrap_or(0), pcs.1.unwrap_or(0));
-                violations.push((sys.soc().cycle(), p0, p1));
-            }
-            if both_in(&setup.collision).is_some() {
-                collision_nodiv += 1;
-            }
-        }
-    }
-    sys.monitor_mut().finish();
+    });
     let timed_out = !sys.soc().all_halted();
     let checksum_ok = match setup.golden {
         Some(golden) => !timed_out && (0..2).all(|c| sys.soc().core(c).reg(Reg::A0) == golden),
@@ -234,8 +201,8 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
         cycles: sys.soc().cycle(),
         observed: counters.cycles_observed,
         no_div: counters.no_div_cycles,
-        guarded,
-        violations,
+        guarded: guard.guarded,
+        violations: guard.violations,
         collision_nodiv,
         timed_out,
         checksum_ok,

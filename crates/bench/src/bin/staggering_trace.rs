@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 
 use safedm_bench::args;
 use safedm_bench::experiments::{write_metrics_json, RUN_BUDGET};
-use safedm_core::{MonitoredSoc, ObsConfig, ReportMode, RunObserver, SafeDmConfig};
+use safedm_core::{MonitoredSoc, ObsConfig, ReportMode, RunObserver, SafeDmConfig, TraceSample};
 use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, kernels, HarnessConfig, StackMode, StaggerConfig};
 
@@ -43,12 +43,14 @@ fn main() {
     let dm = SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() };
     let mut sys = MonitoredSoc::new(SocConfig::default(), dm);
     sys.load_program(&prog);
-    sys.enable_trace();
-    sys.attach_obs(RunObserver::new(ObsConfig::default(), 2));
-    let out = sys.run(RUN_BUDGET);
+    let mut trace = Vec::new();
+    let mut obs = RunObserver::new(ObsConfig::default(), 2);
+    let out = sys.run_with(RUN_BUDGET, |sys, r| {
+        trace.push(TraceSample::new(sys, r));
+        obs.on_cycle(sys.soc(), sys.monitor(), r);
+    });
     assert!(out.run.all_clean(), "{kernel_name}: {:?}", out.run.exits);
-    let trace = sys.take_trace();
-    let obs = sys.detach_obs().expect("observer attached");
+    obs.finish(sys.soc(), sys.monitor());
 
     // Down-sample into windows: per window, mean |diff|, min |diff|,
     // zero-stag count, no-div count. No printing in this loop — rows are

@@ -18,64 +18,17 @@
 //! hazard cross-validation is a fixed smoke set and stays out of the
 //! stream).
 
-use safedm_analysis::{AnalysisConfig, LintCode};
-use safedm_asm::{Asm, Program};
+use safedm_analysis::{analyze, AnalysisConfig, DiversityGate, LintCode};
 use safedm_bench::args;
-use safedm_bench::experiments::{run_cells_with_telemetry, Telemetry};
+use safedm_bench::experiments::{
+    gate_hazards, run_cells_with_telemetry, run_gated, Telemetry, RUN_BUDGET,
+};
 use safedm_campaign::par_map;
-use safedm_core::{DiversityGate, MonitoredRun, MonitoredSoc, SafeDmConfig};
-use safedm_isa::Reg;
 use safedm_obs::events::CellEvent;
-use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, kernels, HarnessConfig};
-
-fn run_gated(prog: &Program, max_cycles: u64) -> (MonitoredRun, DiversityGate) {
-    let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
-    sys.enable_static_gate(AnalysisConfig::default());
-    sys.load_program(prog);
-    let out = sys.run(max_cycles);
-    let gate = sys.detach_gate().expect("gate armed by load_program");
-    (out, gate)
-}
 
 fn count(gate: &DiversityGate, code: LintCode) -> usize {
     gate.report().diagnostics.iter().filter(|d| d.code == code).count()
-}
-
-/// Synthetic programs that must trip the guaranteed lints.
-fn synthetic_hazards() -> Vec<(&'static str, Program)> {
-    let mut out = Vec::new();
-
-    // A nop sled far longer than the pipeline, then halt.
-    let mut a = Asm::new();
-    a.nops(64);
-    a.ebreak();
-    out.push(("nop_sled", a.link(0x8000_0000).unwrap()));
-
-    // A short spin then a DIV001 idle loop (runs until the cycle budget).
-    let mut a = Asm::new();
-    a.li(Reg::T0, 200);
-    let spin = a.new_label("spin");
-    a.bind(spin).unwrap();
-    a.addi(Reg::T0, Reg::T0, -1);
-    a.bnez(Reg::T0, spin);
-    let idle = a.new_label("idle");
-    a.bind(idle).unwrap();
-    a.nop();
-    a.j(idle);
-    out.push(("spin_then_idle", a.link(0x8000_0000).unwrap()));
-
-    // A sled mid-program between data-dependent work.
-    let mut a = Asm::new();
-    a.li(Reg::A0, 0x8010_0000);
-    a.lw(Reg::T1, 0, Reg::A0);
-    a.nops(32);
-    a.addi(Reg::T1, Reg::T1, 1);
-    a.sw(Reg::T1, 0, Reg::A0);
-    a.ebreak();
-    out.push(("sled_between_loads", a.link(0x8000_0000).unwrap()));
-
-    out
 }
 
 fn main() {
@@ -102,7 +55,8 @@ fn main() {
         |k| k.name.to_owned(),
         |_, k| {
             let prog = build_kernel_program(k, &HarnessConfig::default());
-            let (out, gate) = run_gated(&prog, 200_000_000);
+            let (out, gate) =
+                run_gated(&prog, analyze(&prog, &AnalysisConfig::default()), RUN_BUDGET);
             assert!(!out.run.timed_out, "{}: kernel run timed out", k.name);
             let report = gate.report();
             let has_diags = !report.diagnostics.is_empty();
@@ -159,9 +113,9 @@ fn main() {
         }
     }
 
-    let hazards = synthetic_hazards();
+    let hazards = gate_hazards();
     let synth_cells = par_map(jobs, &hazards, |_, (name, prog)| {
-        let (out, gate) = run_gated(prog, 100_000);
+        let (out, gate) = run_gated(prog, analyze(prog, &AnalysisConfig::default()), 100_000);
         let guaranteed = gate.report().guaranteed_hazards().count();
         assert!(guaranteed > 0, "{name}: expected a guaranteed hazard");
         let ok = gate.all_confirmed();

@@ -30,7 +30,7 @@ use safedm_analysis::{analyze, prove, prove_pair, AnalysisConfig, PcSpan, Verdic
 use safedm_asm::transform::TransformConfig;
 use safedm_asm::Program;
 use safedm_bench::args;
-use safedm_bench::experiments::{run_cells_with_telemetry, Telemetry};
+use safedm_bench::experiments::{run_cells_with_telemetry, SoundnessGuard, Telemetry};
 use safedm_campaign::ConfigGrid;
 use safedm_core::{MonitoredSoc, SafeDmConfig};
 use safedm_isa::Reg;
@@ -125,21 +125,11 @@ struct CellOut {
 
 fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
     let dm_cfg = SafeDmConfig::default();
-    let warmup = 2 * dm_cfg.data_fifo_depth as u64;
     let mut sys = MonitoredSoc::new(SocConfig::default(), dm_cfg);
     sys.load_program(&setup.prog);
 
-    let mut streak = 0u64;
-    let mut streak_span: Option<usize> = None;
-    let mut guarded = 0u64;
-    let mut violations = 0usize;
-    for _ in 0..max_cycles {
-        if sys.soc().all_halted()
-            && (0..sys.soc().core_count()).all(|i| sys.soc().core(i).store_buffer_len() == 0)
-        {
-            break;
-        }
-        let rep = sys.step();
+    let mut guard = SoundnessGuard::new(&dm_cfg);
+    sys.run_with(max_cycles, |sys, rep| {
         let pcs = (sys.soc().core(0).last_commit_pc(), sys.soc().core(1).last_commit_pc());
         let span_hit = match pcs {
             (Some(p0), Some(p1)) => {
@@ -147,28 +137,8 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
             }
             _ => None,
         };
-        match (rep.observed, span_hit) {
-            (true, Some(si)) => {
-                if streak_span == Some(si) {
-                    streak += 1;
-                } else {
-                    streak_span = Some(si);
-                    streak = 1;
-                }
-            }
-            _ => {
-                streak = 0;
-                streak_span = None;
-            }
-        }
-        if streak >= warmup {
-            guarded += 1;
-            if rep.observed && rep.no_diversity {
-                violations += 1;
-            }
-        }
-    }
-    sys.monitor_mut().finish();
+        guard.observe(sys, rep, span_hit);
+    });
     let timed_out = !sys.soc().all_halted();
     let checksum_ok = !timed_out && (0..2).all(|c| sys.soc().core(c).reg(Reg::A0) == setup.golden);
     let counters = sys.monitor().counters();
@@ -176,8 +146,8 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
         cycles: sys.soc().cycle(),
         observed: counters.cycles_observed,
         no_div: counters.no_div_cycles,
-        guarded,
-        violations,
+        guarded: guard.guarded,
+        violations: guard.violations.len(),
         checksum_ok,
     }
 }

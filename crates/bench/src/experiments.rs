@@ -7,9 +7,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use safedm_analysis::{AnalysisReport, DiversityGate};
+use safedm_asm::Asm;
 use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_campaign::{derive_cell_seed, par_map_timed_observed, Progress};
-use safedm_core::{regs, IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
+use safedm_core::{
+    regs, CycleReport, IsLayout, MonitoredRun, MonitoredSoc, ReportMode, SafeDmConfig,
+};
 use safedm_isa::Reg;
 use safedm_obs::events::{CellEvent, Timing};
 use safedm_obs::{MetricsRegistry, MetricsSnapshot};
@@ -203,6 +207,110 @@ pub fn run_cell(
         episodes: sys.monitor().no_diversity_history().total_episodes(),
         checksum_ok: !out.run.timed_out && (0..2).all(|c| sys.soc().core(c).reg(Reg::A0) == golden),
         ..base
+    }
+}
+
+/// Runs `prog` at stagger 0 under the default monitor with a
+/// [`DiversityGate`] armed from `report` (the analysis of `prog`), and
+/// returns the run and the gate's cross-validation counters.
+#[must_use]
+pub fn run_gated(
+    prog: &safedm_asm::Program,
+    report: AnalysisReport,
+    max_cycles: u64,
+) -> (MonitoredRun, DiversityGate) {
+    let mut gate = DiversityGate::new(report);
+    let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
+    sys.load_program(prog);
+    let out = sys.run_with(max_cycles, |sys, r| {
+        gate.observe(sys.soc().core(0).last_commit_pc(), r.observed, r.no_diversity);
+    });
+    (out, gate)
+}
+
+/// Synthetic programs that must trip the guaranteed lints (DIV001/DIV002),
+/// for the gate's cross-validation.
+#[must_use]
+pub fn gate_hazards() -> Vec<(&'static str, safedm_asm::Program)> {
+    let mut out = Vec::new();
+
+    // A nop sled far longer than the pipeline, then halt.
+    let mut a = Asm::new();
+    a.nops(64);
+    a.ebreak();
+    out.push(("nop_sled", a.link(0x8000_0000).unwrap()));
+
+    // A short spin then a DIV001 idle loop (runs until the cycle budget).
+    let mut a = Asm::new();
+    a.li(Reg::T0, 200);
+    let spin = a.new_label("spin");
+    a.bind(spin).unwrap();
+    a.addi(Reg::T0, Reg::T0, -1);
+    a.bnez(Reg::T0, spin);
+    let idle = a.new_label("idle");
+    a.bind(idle).unwrap();
+    a.nop();
+    a.j(idle);
+    out.push(("spin_then_idle", a.link(0x8000_0000).unwrap()));
+
+    // A sled mid-program between data-dependent work.
+    let mut a = Asm::new();
+    a.li(Reg::A0, 0x8010_0000);
+    a.lw(Reg::T1, 0, Reg::A0);
+    a.nops(32);
+    a.addi(Reg::T1, Reg::T1, 1);
+    a.sw(Reg::T1, 0, Reg::A0);
+    a.ebreak();
+    out.push(("sled_between_loads", a.link(0x8000_0000).unwrap()));
+
+    out
+}
+
+/// The warmup-gated soundness check of `ProvedDiverse` claims against the
+/// monitor. A no-diversity verdict counts as a violation only once both
+/// cores' last-committed PCs have stayed inside the same proved region for
+/// `2 * data_fifo_depth` consecutive observed cycles, so both signature
+/// FIFOs hold only in-region traffic.
+#[derive(Debug, Clone)]
+pub struct SoundnessGuard {
+    warmup: u64,
+    streak: u64,
+    region: Option<usize>,
+    /// Cycles past the warmup inside one region (the cycles checked).
+    pub guarded: u64,
+    /// `(cycle, pc0, pc1)` of every no-diversity cycle among them.
+    pub violations: Vec<(u64, u64, u64)>,
+}
+
+impl SoundnessGuard {
+    /// A guard for a monitor configured as `dm_cfg`.
+    #[must_use]
+    pub fn new(dm_cfg: &SafeDmConfig) -> SoundnessGuard {
+        SoundnessGuard {
+            warmup: 2 * dm_cfg.data_fifo_depth as u64,
+            streak: 0,
+            region: None,
+            guarded: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Feeds the cycle `sys` just stepped: `report` is its verdict and
+    /// `region` the index of the proved region holding both cores' last
+    /// commits, if any.
+    pub fn observe(&mut self, sys: &MonitoredSoc, report: &CycleReport, region: Option<usize>) {
+        match (report.observed, region) {
+            (true, Some(r)) if self.region == Some(r) => self.streak += 1,
+            (true, Some(r)) => (self.region, self.streak) = (Some(r), 1),
+            _ => (self.region, self.streak) = (None, 0),
+        }
+        if self.streak >= self.warmup {
+            self.guarded += 1;
+            if report.no_diversity {
+                let pc = |c: usize| sys.soc().core(c).last_commit_pc().unwrap_or(0);
+                self.violations.push((sys.soc().cycle(), pc(0), pc(1)));
+            }
+        }
     }
 }
 

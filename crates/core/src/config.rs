@@ -51,10 +51,6 @@ pub struct SafeDmConfig {
     pub is_layout: IsLayout,
     /// Reporting behaviour.
     pub report_mode: ReportMode,
-    /// Include stale (invalid-slot) instruction bits in the IS comparison.
-    /// Hardware latches hold stale encodings; masking them (default) makes
-    /// the comparison depend only on architecturally live state.
-    pub include_stale_bits: bool,
     /// Width of each history-module bin, in cycles of episode length.
     pub history_bin_width: u64,
     /// Number of history bins (the last bin is open-ended).
@@ -74,7 +70,6 @@ impl Default for SafeDmConfig {
             data_fifo_depth: 8,
             is_layout: IsLayout::PerStage,
             report_mode: ReportMode::InterruptFirst,
-            include_stale_bits: false,
             history_bin_width: 4,
             history_bins: 16,
             stop_when_halted: true,

@@ -23,8 +23,9 @@
 //! * APB integration ([`regs`], mirrored register bank),
 //! * [`SafeDe`] — the *intrusive* staggering-enforcement baseline
 //!   (IOLTS 2021) used for the Table II comparison, and
-//! * [`MonitoredSoc`] — an MPSoC with SafeDM attached, ready to run
-//!   redundant bare-metal programs.
+//! * [`MonitoredSoc`] — an MPSoC with one SafeDM per redundant core pair,
+//!   ready to run redundant bare-metal programs under an optional per-cycle
+//!   observer ([`MonitoredSoc::run_with`]), e.g. a [`RunObserver`].
 //!
 //! ## Example
 //!
@@ -59,10 +60,8 @@ mod config;
 mod dcls;
 mod diff;
 mod fifo;
-mod gate;
 mod history;
 mod monitor;
-mod multipair;
 mod obs;
 pub mod regs;
 mod safede;
@@ -73,10 +72,8 @@ pub use config::{IsLayout, ReportMode, SafeDmConfig};
 pub use dcls::DclsComparator;
 pub use diff::InstructionDiff;
 pub use fifo::HoldFifo;
-pub use gate::{DiversityGate, GateCheck};
 pub use history::{EpisodeTracker, Histogram};
 pub use monitor::{CycleReport, DiversityCounters, HammingStats, SafeDm};
-pub use multipair::MultiPairSoc;
 pub use obs::{ObsConfig, RunObserver};
 pub use safede::{SafeDe, SafeDeConfig};
 pub use signature::{DataSample, DataSignature, InstructionSignature, DATA_PORTS};

@@ -60,9 +60,9 @@ struct MonitorIds {
 
 /// Observes a monitored run and produces metrics + a structured trace.
 ///
-/// Attach with [`MonitoredSoc::attach_obs`](crate::MonitoredSoc::attach_obs);
-/// detach (which finalises open spans and takes a last metric sample) with
-/// [`MonitoredSoc::detach_obs`](crate::MonitoredSoc::detach_obs).
+/// Feed it from the observer of
+/// [`MonitoredSoc::run_with`](crate::MonitoredSoc::run_with), then call
+/// [`RunObserver::finish`] once the run returns.
 #[derive(Debug)]
 pub struct RunObserver {
     cfg: ObsConfig,
@@ -120,9 +120,8 @@ impl RunObserver {
         }
     }
 
-    /// Processes one cycle's verdict. Called by
-    /// [`MonitoredSoc::step`](crate::MonitoredSoc::step) after the monitor
-    /// observed; everything is read through shared references.
+    /// Processes one cycle's verdict, after the monitor observed;
+    /// everything is read through shared references.
     pub fn on_cycle(&mut self, soc: &MpSoc, dm: &SafeDm, report: &CycleReport) {
         let cycle = soc.cycle();
         // No-diversity episode spans (+ length histogram on close).
@@ -204,8 +203,7 @@ impl RunObserver {
     }
 
     /// Finalises the observation: closes open spans at `soc.cycle()` and
-    /// takes a last metric sample. Called by
-    /// [`MonitoredSoc::detach_obs`](crate::MonitoredSoc::detach_obs).
+    /// takes a last metric sample.
     pub fn finish(&mut self, soc: &MpSoc, dm: &SafeDm) {
         let cycle = soc.cycle();
         if let Some((id, started)) = self.no_div_span.take() {
@@ -271,10 +269,10 @@ mod tests {
     fn observer_tracks_episodes_and_metrics() {
         let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
         sys.load_program(&loop_prog(300));
-        sys.attach_obs(RunObserver::new(ObsConfig::default(), 2));
-        let out = sys.run(1_000_000);
+        let mut obs = RunObserver::new(ObsConfig::default(), 2);
+        let out = sys.run_with(1_000_000, |sys, r| obs.on_cycle(sys.soc(), sys.monitor(), r));
         assert!(out.run.all_clean());
-        let obs = sys.detach_obs().expect("observer attached");
+        obs.finish(sys.soc(), sys.monitor());
         let snap = obs.metrics_snapshot();
         // Mirrored monitor counters match the run result exactly.
         assert_eq!(snap.counter("monitor.no_div_cycles"), Some(out.no_div_cycles));

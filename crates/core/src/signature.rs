@@ -104,11 +104,12 @@ const IS_SLOTS: usize = PIPE_STAGES * PIPE_WIDTH;
 /// `I_x^y` of Fig. 2b: `(valid, encoding)` for each of the `o × p` slots.
 /// In [`IsLayout::InFlight`] it degrades to the flat list of in-flight
 /// instruction encodings. Either way each slot is stored as the word
-/// `valid << 32 | encoding`.
+/// `valid << 32 | encoding`, and an invalid slot as 0: hardware latches
+/// hold stale encodings, and masking them makes the comparison depend only
+/// on architecturally live state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstructionSignature {
     layout: IsLayout,
-    include_stale: bool,
     /// Stage-major slots (PerStage), or the in-flight list oldest first,
     /// padded with invalid entries (InFlight).
     slots: [u64; IS_SLOTS],
@@ -118,11 +119,7 @@ impl InstructionSignature {
     /// Creates the signature generator for `cfg`.
     #[must_use]
     pub fn new(cfg: &SafeDmConfig) -> InstructionSignature {
-        InstructionSignature {
-            layout: cfg.is_layout,
-            include_stale: cfg.include_stale_bits,
-            slots: [0; IS_SLOTS],
-        }
+        InstructionSignature { layout: cfg.is_layout, slots: [0; IS_SLOTS] }
     }
 
     /// Captures the pipeline occupancy of one cycle. Holds keep the previous
@@ -135,13 +132,7 @@ impl InstructionSignature {
         match self.layout {
             IsLayout::PerStage => {
                 for (word, s) in self.slots.iter_mut().zip(probe.stages.iter().flatten()) {
-                    *word = if s.valid {
-                        VALID | u64::from(s.raw)
-                    } else if self.include_stale {
-                        u64::from(s.raw)
-                    } else {
-                        0
-                    };
+                    *word = if s.valid { VALID | u64::from(s.raw) } else { 0 };
                 }
             }
             IsLayout::InFlight => {
@@ -289,20 +280,6 @@ mod tests {
         a.capture(&pa);
         b.capture(&pb);
         assert_eq!(a.bits(), b.bits(), "invalid slots must compare equal");
-    }
-
-    #[test]
-    fn stale_bits_kept_when_configured() {
-        let cfg = SafeDmConfig { include_stale_bits: true, ..SafeDmConfig::default() };
-        let mut a = InstructionSignature::new(&cfg);
-        let mut b = InstructionSignature::new(&cfg);
-        let mut pa = CoreProbe::default();
-        pa.stages[4][0] = StageSlot { valid: false, raw: 0xdead_beef };
-        let mut pb = CoreProbe::default();
-        pb.stages[4][0] = StageSlot { valid: false, raw: 0x1234_5678 };
-        a.capture(&pa);
-        b.capture(&pb);
-        assert_ne!(a.bits(), b.bits());
     }
 
     #[test]

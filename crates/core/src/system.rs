@@ -1,18 +1,17 @@
 //! [`MonitoredSoc`]: the MPSoC with SafeDM attached, the model equivalent of
-//! Fig. 3 of the paper (SafeDM on the APB, observing cores 0 and 1).
+//! Fig. 3 of the paper (SafeDM on the APB, observing a redundant core pair).
+//! One SafeDM instance with its own APB bank watches each pair, so the same
+//! type hosts the paper's two-core setup and the 4-core, two-pair
+//! deployment of the De-RISC platform.
 
 use safedm_asm::Program;
 use safedm_soc::{ApbRegisterFile, MpSoc, RunResult, SocConfig};
 
-use safedm_analysis::AnalysisConfig;
-
-use crate::gate::DiversityGate;
-use crate::obs::RunObserver;
 use crate::regs::{self, regmap};
 use crate::{CycleReport, SafeDe, SafeDm, SafeDmConfig};
 
-/// One sample of the optional per-cycle trace (used for the staggering
-/// time-series figure).
+/// One sample of a per-cycle trace (used for the staggering time-series
+/// figure), taken by a [`MonitoredSoc::run_with`] observer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSample {
     /// SoC cycle.
@@ -29,7 +28,23 @@ pub struct TraceSample {
     pub no_diversity: bool,
 }
 
-/// Result of a monitored run: the SoC outcome plus the monitor's verdicts.
+impl TraceSample {
+    /// The sample of the cycle `sys` just stepped, whose pair-0 verdict is
+    /// `report`.
+    #[must_use]
+    pub fn new(sys: &MonitoredSoc, report: &CycleReport) -> TraceSample {
+        TraceSample {
+            cycle: sys.soc.cycle(),
+            diff: sys.monitor().instruction_diff().value(),
+            zero_stagger: report.zero_stagger && report.observed,
+            ds_match: report.ds_match,
+            is_match: report.is_match,
+            no_diversity: report.no_diversity,
+        }
+    }
+}
+
+/// Result of a monitored run: the SoC outcome plus pair 0's verdicts.
 #[derive(Debug, Clone)]
 pub struct MonitoredRun {
     /// The underlying SoC run result.
@@ -44,8 +59,21 @@ pub struct MonitoredRun {
     pub irq: bool,
 }
 
-/// The MPSoC with a SafeDM instance wired to cores 0 and 1 and mirrored
-/// into an APB slave bank.
+/// One monitored pair: which cores, the monitor, and its APB bank index.
+#[derive(Debug)]
+struct Pair {
+    cores: (usize, usize),
+    dm: SafeDm,
+    apb_index: usize,
+}
+
+/// The MPSoC with one SafeDM instance per redundant core pair, each
+/// mirrored into its own APB slave bank.
+///
+/// Pair 0 is the primary pair: [`MonitoredSoc::step`] returns its verdict
+/// and [`monitor`](MonitoredSoc::monitor), [`apb_bank`](MonitoredSoc::apb_bank)
+/// and [`write_ctrl`](MonitoredSoc::write_ctrl) address it;
+/// [`MonitoredSoc::pair`] reads any pair.
 ///
 /// # Examples
 ///
@@ -68,73 +96,83 @@ pub struct MonitoredRun {
 /// let out = sys.run(1_000_000);
 /// assert!(out.run.all_clean());
 /// assert!(out.cycles_observed > 0);
+///
+/// // Two pairs on four cores, each with its own monitor and APB bank.
+/// let cfg = SocConfig { cores: 4, ..SocConfig::default() };
+/// let mut sys = MonitoredSoc::with_pairs(cfg, SafeDmConfig::default(), &[(0, 1), (2, 3)]);
+/// sys.load_program(&prog);
+/// assert!(sys.run(1_000_000).run.all_clean());
+/// let (cores, dm, _bank) = sys.pair(1);
+/// assert_eq!(cores, (2, 3));
+/// assert!(dm.counters().cycles_observed > 0);
 /// # Ok::<(), safedm_asm::AsmError>(())
 /// ```
 #[derive(Debug)]
 pub struct MonitoredSoc {
     soc: MpSoc,
-    dm: SafeDm,
+    pairs: Vec<Pair>,
     safede: Option<SafeDe>,
-    apb_index: usize,
-    trace: Option<Vec<TraceSample>>,
-    gate_cfg: Option<AnalysisConfig>,
-    gate: Option<DiversityGate>,
-    obs: Option<RunObserver>,
 }
 
-/// Byte offset of the SafeDM register bank inside the APB window.
+/// Byte offset of the first SafeDM register bank inside the APB window.
 pub const SAFEDM_APB_OFFSET: u64 = 0;
 
 impl MonitoredSoc {
-    /// Builds the SoC, the monitor and the APB bank. The bank powers on
-    /// enabled in `dm_cfg.report_mode` (see [`regs::power_on`]).
+    /// Byte stride between consecutive pairs' SafeDM APB banks.
+    pub const BANK_STRIDE: u64 = 0x100;
+
+    /// Builds the SoC and one monitor on cores 0 and 1: the
+    /// `with_pairs(soc_cfg, dm_cfg, &[(0, 1)])` case.
     ///
     /// # Panics
     ///
     /// Panics if either configuration is invalid or the SoC has fewer than
-    /// two cores (the monitor observes cores 0 and 1).
+    /// two cores.
     #[must_use]
     pub fn new(soc_cfg: SocConfig, dm_cfg: SafeDmConfig) -> MonitoredSoc {
-        assert!(soc_cfg.cores >= 2, "SafeDM monitors a redundant pair (need 2 cores)");
-        let mut soc = MpSoc::new(soc_cfg);
-        let base = soc.config().apb_base + SAFEDM_APB_OFFSET;
-        let mut bank = ApbRegisterFile::new(base, regmap::REG_COUNT);
-        regs::power_on(&mut bank, dm_cfg.report_mode);
-        let apb_index = soc.uncore_mut().add_apb_slave(bank);
-        MonitoredSoc {
-            soc,
-            dm: SafeDm::new(dm_cfg),
-            safede: None,
-            apb_index,
-            trace: None,
-            gate_cfg: None,
-            gate: None,
-            obs: None,
-        }
+        MonitoredSoc::with_pairs(soc_cfg, dm_cfg, &[(0, 1)])
     }
 
-    /// Enables the optional pre-run static gate: every subsequent
-    /// [`MonitoredSoc::load_program`] runs the `safedm-analysis` lints on
-    /// the image and arms a [`DiversityGate`] that cross-validates the
-    /// guaranteed (DIV001/DIV002) findings against the runtime monitor.
-    pub fn enable_static_gate(&mut self, cfg: AnalysisConfig) {
-        self.gate_cfg = Some(cfg);
-    }
-
-    /// The armed gate (present once a program was loaded with the static
-    /// gate enabled).
+    /// Builds the SoC and one monitor per pair, pair `i`'s bank at
+    /// [`BANK_STRIDE`](Self::BANK_STRIDE)` × i`, each powered on enabled in
+    /// `dm_cfg.report_mode` (see [`regs::power_on`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either configuration is invalid, `pairs` is empty, a pair
+    /// references a missing core, a core appears in two pairs, or a pair
+    /// monitors a core against itself.
     #[must_use]
-    pub fn gate(&self) -> Option<&DiversityGate> {
-        self.gate.as_ref()
-    }
-
-    /// Detaches the gate with its accumulated cross-validation counters.
-    pub fn detach_gate(&mut self) -> Option<DiversityGate> {
-        self.gate.take()
+    pub fn with_pairs(
+        soc_cfg: SocConfig,
+        dm_cfg: SafeDmConfig,
+        pairs: &[(usize, usize)],
+    ) -> MonitoredSoc {
+        assert!(!pairs.is_empty(), "SafeDM needs at least one redundant pair");
+        let mut soc = MpSoc::new(soc_cfg);
+        let mut seen = vec![false; soc.core_count()];
+        let mut slots = Vec::with_capacity(pairs.len());
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            assert!(a != b, "a pair must reference two distinct cores");
+            assert!(
+                a < soc.core_count() && b < soc.core_count(),
+                "pair ({a},{b}) outside the {}-core SoC",
+                soc.core_count()
+            );
+            assert!(!seen[a] && !seen[b], "core used by two pairs");
+            seen[a] = true;
+            seen[b] = true;
+            let base = soc.config().apb_base + SAFEDM_APB_OFFSET + Self::BANK_STRIDE * i as u64;
+            let mut bank = ApbRegisterFile::new(base, regmap::REG_COUNT);
+            regs::power_on(&mut bank, dm_cfg.report_mode);
+            let apb_index = soc.uncore_mut().add_apb_slave(bank);
+            slots.push(Pair { cores: (a, b), dm: SafeDm::new(dm_cfg), apb_index });
+        }
+        MonitoredSoc { soc, pairs: slots, safede: None }
     }
 
     /// Attaches a SafeDE enforcement module (driven each cycle before the
-    /// monitor observes).
+    /// monitors observe).
     pub fn attach_safede(&mut self, safede: SafeDe) {
         self.safede = Some(safede);
     }
@@ -144,55 +182,20 @@ impl MonitoredSoc {
         self.safede.take()
     }
 
-    /// Attaches a [`RunObserver`] that is fed every subsequent cycle.
-    pub fn attach_obs(&mut self, obs: RunObserver) {
-        self.obs = Some(obs);
-    }
-
-    /// The attached observer, if any.
-    #[must_use]
-    pub fn observer(&self) -> Option<&RunObserver> {
-        self.obs.as_ref()
-    }
-
-    /// Mutable observer access (phase spans, extra metrics).
-    pub fn observer_mut(&mut self) -> Option<&mut RunObserver> {
-        self.obs.as_mut()
-    }
-
-    /// Detaches the observer, finalising it first (open spans are closed at
-    /// the current cycle and a last metric sample is taken).
-    pub fn detach_obs(&mut self) -> Option<RunObserver> {
-        let mut obs = self.obs.take()?;
-        obs.finish(&self.soc, &self.dm);
-        Some(obs)
-    }
-
-    /// Starts recording a per-cycle trace.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Takes the recorded trace.
-    pub fn take_trace(&mut self) -> Vec<TraceSample> {
-        self.trace.take().unwrap_or_default()
-    }
-
-    /// Loads the redundant program (both cores, same image). With the
-    /// static gate enabled, also analyzes the image and arms the gate.
+    /// Loads the redundant program (every core, same image) and resets the
+    /// monitors.
     pub fn load_program(&mut self, prog: &Program) {
         self.soc.load_program(prog);
-        self.dm.reset();
-        if let Some(cfg) = &self.gate_cfg {
-            let report = safedm_analysis::analyze(prog, cfg);
-            self.gate = Some(DiversityGate::new(report));
+        for p in &mut self.pairs {
+            p.dm.reset();
         }
     }
 
-    /// One cycle: SoC, then SafeDE (if attached), then APB command
-    /// application, then SafeDM observation, then the APB mirror — so a
-    /// control write (guest or host) takes effect before the cycle is
-    /// judged.
+    /// One cycle: SoC, then SafeDE (if attached), then per pair the APB
+    /// command application, the SafeDM observation and the APB mirror — so
+    /// a control write (guest or host) takes effect before the cycle is
+    /// judged. Returns pair 0's verdict; the others are in
+    /// [`SafeDm::last_report`].
     pub fn step(&mut self) -> CycleReport {
         self.soc.step();
         self.post_step()
@@ -210,64 +213,59 @@ impl MonitoredSoc {
         if let Some(de) = self.safede.as_mut() {
             de.control(&mut self.soc);
         }
-        {
-            let bank = self.soc.uncore_mut().apb_slave_mut(self.apb_index);
-            regs::apply_commands(&mut self.dm, bank);
+        for p in &mut self.pairs {
+            regs::apply_commands(&mut p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
+            p.dm.observe(self.soc.probe(p.cores.0), self.soc.probe(p.cores.1));
+            regs::mirror(&p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
         }
-        let report = {
-            let (p0, p1) = (self.soc.probe(0), self.soc.probe(1));
-            self.dm.observe(p0, p1)
-        };
-        let bank = self.soc.uncore_mut().apb_slave_mut(self.apb_index);
-        regs::mirror(&self.dm, bank);
-        if let Some(gate) = self.gate.as_mut() {
-            gate.observe(self.soc.core(0).last_commit_pc(), &report);
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceSample {
-                cycle: self.soc.cycle(),
-                diff: self.dm.instruction_diff().value(),
-                zero_stagger: report.zero_stagger && report.observed,
-                ds_match: report.ds_match,
-                is_match: report.is_match,
-                no_diversity: report.no_diversity,
-            });
-        }
-        if let Some(obs) = self.obs.as_mut() {
-            obs.on_cycle(&self.soc, &self.dm, &report);
-        }
-        report
+        self.pairs[0].dm.last_report()
     }
 
-    /// Runs until both cores halt (and store buffers drain) or the budget
-    /// expires, then finishes the monitor.
-    pub fn run(&mut self, max_cycles: u64) -> MonitoredRun {
+    /// Runs until every core halts and its store buffer drains, or
+    /// `max_cycles` more cycles pass, handing each stepped cycle and its
+    /// pair-0 verdict to `on_cycle`. Then finishes every monitor and
+    /// re-mirrors its bank, so the APB registers expose the final state
+    /// (episode totals included).
+    ///
+    /// The observer sees the system by shared reference only: observing a
+    /// run cannot steer it.
+    pub fn run_with(
+        &mut self,
+        max_cycles: u64,
+        mut on_cycle: impl FnMut(&MonitoredSoc, &CycleReport),
+    ) -> MonitoredRun {
         let start = self.soc.cycle();
-        while self.soc.cycle() - start < max_cycles {
-            if self.soc.all_halted()
-                && (0..self.soc.core_count()).all(|i| self.soc.core(i).store_buffer_len() == 0)
-            {
-                break;
-            }
-            self.step();
+        while self.soc.cycle() - start < max_cycles && !self.drained() {
+            let report = self.step();
+            on_cycle(self, &report);
         }
-        self.dm.finish();
-        // finish() closes any open match episode; re-mirror so the APB bank
-        // exposes the final counter state (episode totals included).
-        let bank = self.soc.uncore_mut().apb_slave_mut(self.apb_index);
-        regs::mirror(&self.dm, bank);
-        let run = RunResult {
-            cycles: self.soc.cycle() - start,
-            exits: (0..self.soc.core_count()).map(|i| self.soc.core(i).exit()).collect(),
-            timed_out: !self.soc.all_halted(),
-        };
+        for p in &mut self.pairs {
+            p.dm.finish();
+            regs::mirror(&p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
+        }
+        let dm = self.monitor();
         MonitoredRun {
-            zero_stag_cycles: self.dm.instruction_diff().zero_cycles(),
-            no_div_cycles: self.dm.counters().no_div_cycles,
-            cycles_observed: self.dm.counters().cycles_observed,
-            irq: self.dm.irq_pending(),
-            run,
+            run: RunResult {
+                cycles: self.soc.cycle() - start,
+                exits: (0..self.soc.core_count()).map(|i| self.soc.core(i).exit()).collect(),
+                timed_out: !self.soc.all_halted(),
+            },
+            zero_stag_cycles: dm.instruction_diff().zero_cycles(),
+            no_div_cycles: dm.counters().no_div_cycles,
+            cycles_observed: dm.counters().cycles_observed,
+            irq: dm.irq_pending(),
         }
+    }
+
+    /// [`MonitoredSoc::run_with`] without an observer.
+    pub fn run(&mut self, max_cycles: u64) -> MonitoredRun {
+        self.run_with(max_cycles, |_, _| {})
+    }
+
+    /// Whether every core halted and drained its store buffer.
+    fn drained(&self) -> bool {
+        self.soc.all_halted()
+            && (0..self.soc.core_count()).all(|i| self.soc.core(i).store_buffer_len() == 0)
     }
 
     /// The underlying SoC.
@@ -281,15 +279,33 @@ impl MonitoredSoc {
         &mut self.soc
     }
 
-    /// The monitor.
+    /// Number of monitored pairs.
     #[must_use]
-    pub fn monitor(&self) -> &SafeDm {
-        &self.dm
+    pub fn pair_count(&self) -> usize {
+        self.pairs.len()
     }
 
-    /// Mutable monitor access (mode programming from the host side).
+    /// Pair `i`: its cores, its monitor and the APB bank mirroring it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn pair(&self, i: usize) -> ((usize, usize), &SafeDm, &ApbRegisterFile) {
+        let p = &self.pairs[i];
+        (p.cores, &p.dm, self.soc.uncore().apb_slave(p.apb_index))
+    }
+
+    /// Pair 0's monitor.
+    #[must_use]
+    pub fn monitor(&self) -> &SafeDm {
+        &self.pairs[0].dm
+    }
+
+    /// Mutable access to pair 0's monitor (mode programming from the host
+    /// side).
     pub fn monitor_mut(&mut self) -> &mut SafeDm {
-        &mut self.dm
+        &mut self.pairs[0].dm
     }
 
     /// The attached SafeDE module, if any.
@@ -298,22 +314,26 @@ impl MonitoredSoc {
         self.safede.as_ref()
     }
 
-    /// The APB bank mirroring the monitor registers.
+    /// The APB bank mirroring pair 0's monitor registers.
     #[must_use]
     pub fn apb_bank(&self) -> &ApbRegisterFile {
-        self.soc.uncore().apb_slave(self.apb_index)
+        self.pair(0).2
     }
 
-    /// Host-side write to the monitor's CTRL register (takes effect at the
-    /// next cycle's command application, like an RTOS APB write would).
+    /// Host-side write to pair 0's CTRL register (takes effect at the next
+    /// cycle's command application, like an RTOS APB write would).
     pub fn write_ctrl(&mut self, value: u64) {
-        self.soc.uncore_mut().apb_slave_mut(self.apb_index).set_reg(regmap::CTRL, value);
+        self.write_reg(regmap::CTRL, value);
     }
 
-    /// Host-side write to the monitor's THRESHOLD register (used by the
+    /// Host-side write to pair 0's THRESHOLD register (used by the
     /// interrupt-after-count reporting mode).
     pub fn write_threshold(&mut self, value: u64) {
-        self.soc.uncore_mut().apb_slave_mut(self.apb_index).set_reg(regmap::THRESHOLD, value);
+        self.write_reg(regmap::THRESHOLD, value);
+    }
+
+    fn write_reg(&mut self, reg: usize, value: u64) {
+        self.soc.uncore_mut().apb_slave_mut(self.pairs[0].apb_index).set_reg(reg, value);
     }
 }
 
@@ -348,6 +368,18 @@ mod tests {
         a.link(0x8000_0000).unwrap()
     }
 
+    fn four_core() -> SocConfig {
+        SocConfig { cores: 4, ..SocConfig::default() }
+    }
+
+    /// The single-pair system and a two-pair one on four cores.
+    fn systems(dm_cfg: SafeDmConfig) -> [MonitoredSoc; 2] {
+        [
+            MonitoredSoc::new(SocConfig::default(), dm_cfg),
+            MonitoredSoc::with_pairs(four_core(), dm_cfg, &[(0, 1), (2, 3)]),
+        ]
+    }
+
     #[test]
     fn monitored_run_produces_counts() {
         let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
@@ -376,9 +408,8 @@ mod tests {
     fn trace_records_every_cycle() {
         let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
         sys.load_program(&loop_prog(50));
-        sys.enable_trace();
-        let out = sys.run(1_000_000);
-        let trace = sys.take_trace();
+        let mut trace = Vec::new();
+        let out = sys.run_with(1_000_000, |sys, report| trace.push(TraceSample::new(sys, report)));
         assert_eq!(trace.len() as u64, out.run.cycles);
         // A pure-register countdown keeps identical cores in lockstep
         // (shared-code fetches merge): staggering stays zero throughout.
@@ -410,14 +441,56 @@ mod tests {
     }
 
     #[test]
+    fn two_pairs_monitor_independently() {
+        let mut sys =
+            MonitoredSoc::with_pairs(four_core(), SafeDmConfig::default(), &[(0, 1), (2, 3)]);
+        sys.load_program(&loop_prog(300));
+        assert!(sys.run(10_000_000).run.all_clean());
+        assert_eq!(sys.pair_count(), 2);
+        for i in 0..2 {
+            let (_, dm, bank) = sys.pair(i);
+            let c = dm.counters();
+            assert!(c.cycles_observed > 0, "pair {i} observed nothing");
+            assert_eq!(bank.reg(regmap::CYCLES_OBSERVED), c.cycles_observed);
+        }
+        // All four cores run the same register-only program in lockstep:
+        // both pairs should agree on full no-diversity.
+        assert_eq!(sys.pair(0).1.counters().no_div_cycles, sys.pair(1).1.counters().no_div_cycles);
+    }
+
+    #[test]
+    fn every_bank_shows_the_final_state_after_a_budget_limited_run() {
+        let mut sys =
+            MonitoredSoc::with_pairs(four_core(), SafeDmConfig::default(), &[(0, 1), (2, 3)]);
+        sys.load_program(&loop_prog(100_000));
+        assert!(sys.run(500).run.timed_out);
+        for i in 0..2 {
+            let (_, dm, bank) = sys.pair(i);
+            assert!(dm.finished(), "pair {i}");
+            assert_eq!(bank.reg(regmap::STATUS) & 2, 2, "pair {i}: STATUS.finished");
+            assert_eq!(
+                bank.reg(regmap::NO_DIV_EPISODES),
+                dm.no_diversity_history().total_episodes(),
+                "pair {i}: the episode open at the budget counts"
+            );
+        }
+    }
+
+    #[test]
     fn configured_polling_mode_never_interrupts() {
         let cfg = SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() };
-        let mut sys = MonitoredSoc::new(SocConfig::default(), cfg);
-        sys.load_program(&loop_prog(100));
-        let out = sys.run(1_000_000);
-        assert!(out.no_div_cycles > 0, "the lockstep loop loses diversity");
-        assert!(!out.irq);
-        assert_eq!(sys.apb_bank().reg(regmap::STATUS) & 1, 0);
+        for mut sys in systems(cfg) {
+            sys.load_program(&loop_prog(100));
+            let out = sys.run(10_000_000);
+            assert!(out.run.all_clean());
+            assert!(!out.irq);
+            for i in 0..sys.pair_count() {
+                let (_, dm, bank) = sys.pair(i);
+                assert!(dm.counters().no_div_cycles > 0, "pair {i}: the lockstep loop");
+                assert!(!dm.irq_pending(), "pair {i}");
+                assert_eq!(bank.reg(regmap::STATUS) & 1, 0, "pair {i}");
+            }
+        }
     }
 
     #[test]
@@ -427,15 +500,29 @@ mod tests {
             report_mode: ReportMode::InterruptThreshold(k),
             ..SafeDmConfig::default()
         };
-        let mut sys = MonitoredSoc::new(SocConfig::default(), cfg);
-        sys.load_program(&loop_prog(100));
-        assert_eq!(sys.apb_bank().reg(regmap::THRESHOLD), k);
-        while !sys.soc().all_halted() {
-            sys.step();
-            let dm = sys.monitor();
-            assert_eq!(dm.irq_pending(), dm.counters().no_div_cycles >= k);
+        for mut sys in systems(cfg) {
+            sys.load_program(&loop_prog(100));
+            for i in 0..sys.pair_count() {
+                assert_eq!(sys.pair(i).2.reg(regmap::THRESHOLD), k, "pair {i}");
+            }
+            sys.run_with(1_000_000, |sys, _| {
+                for i in 0..sys.pair_count() {
+                    let dm = sys.pair(i).1;
+                    assert_eq!(dm.irq_pending(), dm.counters().no_div_cycles >= k, "pair {i}");
+                }
+            });
+            assert!(sys.monitor().counters().no_div_cycles >= k, "the run reaches the threshold");
         }
-        assert!(sys.monitor().counters().no_div_cycles >= k, "the run reaches the threshold");
+    }
+
+    #[test]
+    fn cross_pair_configuration_is_possible() {
+        // Pairing (0,2) and (1,3) is equally valid.
+        let mut sys =
+            MonitoredSoc::with_pairs(four_core(), SafeDmConfig::default(), &[(0, 2), (1, 3)]);
+        sys.load_program(&loop_prog(100));
+        assert!(sys.run(10_000_000).run.all_clean());
+        assert_eq!(sys.pair(0).0, (0, 2));
     }
 
     #[test]
@@ -443,5 +530,23 @@ mod tests {
         let cfg = SocConfig { cores: 1, ..SocConfig::default() };
         let r = std::panic::catch_unwind(|| MonitoredSoc::new(cfg, SafeDmConfig::default()));
         assert!(r.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "core used by two pairs")]
+    fn overlapping_pairs_rejected() {
+        let _ = MonitoredSoc::with_pairs(four_core(), SafeDmConfig::default(), &[(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct cores")]
+    fn self_pair_rejected() {
+        let _ = MonitoredSoc::with_pairs(four_core(), SafeDmConfig::default(), &[(2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn out_of_range_pair_rejected() {
+        let _ = MonitoredSoc::with_pairs(four_core(), SafeDmConfig::default(), &[(0, 7)]);
     }
 }

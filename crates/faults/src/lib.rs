@@ -50,7 +50,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use safedm_core::{DclsComparator, MonitoredSoc, SafeDmConfig};
+use safedm_core::{DclsComparator, MonitoredSoc, SafeDmConfig, TraceSample};
 use safedm_isa::Reg;
 use safedm_soc::{SocConfig, PIPE_WIDTH};
 use safedm_tacle::{build_kernel_program, HarnessConfig, Kernel};
@@ -203,16 +203,12 @@ fn inject_common(
             landed[core] = apply(&mut sys, core, fault.target);
         }
     }
-    // Post-injection: run manually with a DCLS commit comparator riding
-    // along to time the first architectural divergence.
+    // Post-injection: a DCLS commit comparator rides along to time the
+    // first architectural divergence.
     let mut dcls = DclsComparator::new(4096);
     let mut spent = 0u64;
     let mut detect_latency = None;
-    while spent < max_cycles {
-        if sys.soc().all_halted() && (0..2).all(|i| sys.soc().core(i).store_buffer_len() == 0) {
-            break;
-        }
-        sys.step();
+    let out = sys.run_with(max_cycles, |sys, _| {
         spent += 1;
         if detect_latency.is_none() {
             dcls.observe(sys.soc().probe(0), sys.soc().probe(1));
@@ -220,19 +216,7 @@ fn inject_common(
                 detect_latency = Some(spent);
             }
         }
-    }
-    sys.monitor_mut().finish();
-    let out = safedm_core::MonitoredRun {
-        run: safedm_soc::RunResult {
-            cycles: spent,
-            exits: (0..sys.soc().core_count()).map(|i| sys.soc().core(i).exit()).collect(),
-            timed_out: !sys.soc().all_halted(),
-        },
-        zero_stag_cycles: sys.monitor().instruction_diff().zero_cycles(),
-        no_div_cycles: sys.monitor().counters().no_div_cycles,
-        cycles_observed: sys.monitor().counters().cycles_observed,
-        irq: sys.monitor().irq_pending(),
-    };
+    });
     let outcome = classify(&sys, &out, result_addr, golden);
     InjectionResult {
         fault,
@@ -295,9 +279,8 @@ pub fn run_single_core_injection(
 pub fn initial_lockstep_window(prog: &safedm_asm::Program, max_cycles: u64) -> Option<(u64, u64)> {
     let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
     sys.load_program(prog);
-    sys.enable_trace();
-    let _ = sys.run(max_cycles);
-    let trace = sys.take_trace();
+    let mut trace = Vec::new();
+    sys.run_with(max_cycles, |sys, r| trace.push(TraceSample::new(sys, r)));
     let mut start = None;
     let mut end = None;
     for s in &trace {
@@ -584,9 +567,9 @@ mod tests {
         let lockstep_cycle = {
             let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
             sys.load_program(&prog);
-            sys.enable_trace();
-            let _ = sys.run(80_000_000);
-            sys.take_trace()
+            let mut trace = Vec::new();
+            sys.run_with(80_000_000, |sys, r| trace.push(TraceSample::new(sys, r)));
+            trace
                 .iter()
                 .find(|t| t.no_diversity && t.zero_stagger && t.cycle > 150)
                 .map(|t| t.cycle)

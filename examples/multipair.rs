@@ -7,20 +7,20 @@
 //! ```
 
 use safedm::monitor::regs::regmap;
-use safedm::monitor::{MultiPairSoc, SafeDmConfig};
+use safedm::monitor::{MonitoredSoc, SafeDmConfig};
 use safedm::soc::SocConfig;
 use safedm::tacle::{build_kernel_program, kernels, HarnessConfig};
 
 fn main() {
     let soc_cfg = SocConfig { cores: 4, ..SocConfig::default() };
 
-    let mut sys = MultiPairSoc::new(soc_cfg, SafeDmConfig::default(), &[(0, 1), (2, 3)]);
+    let mut sys = MonitoredSoc::with_pairs(soc_cfg, SafeDmConfig::default(), &[(0, 1), (2, 3)]);
 
     let kernel = kernels::by_name("quicksort").expect("kernel exists");
     let prog = build_kernel_program(kernel, &HarnessConfig::default());
     sys.load_program(&prog);
 
-    let out = sys.run(200_000_000);
+    let out = sys.run(200_000_000).run;
     assert!(out.all_clean(), "{:?}", out.exits);
 
     let golden = (kernel.reference)();
@@ -33,8 +33,7 @@ fn main() {
     println!();
     println!("{:>6} {:>10} {:>10} {:>10} {:>8}", "pair", "observed", "zero-stag", "no-div", "irq");
     for i in 0..sys.pair_count() {
-        let (a, b) = sys.pair_cores(i);
-        let bank = sys.apb_bank(i);
+        let ((a, b), _, bank) = sys.pair(i);
         println!(
             "({a},{b})  {:>10} {:>10} {:>10} {:>8}",
             bank.reg(regmap::CYCLES_OBSERVED),
@@ -49,6 +48,6 @@ fn main() {
          serialisation history — the pairs' diversity statistics diverge,\n\
          which is exactly why each pair needs its own monitor. Each SafeDM\n\
          lives at its own APB bank ({:#x} apart).",
-        MultiPairSoc::BANK_STRIDE
+        MonitoredSoc::BANK_STRIDE
     );
 }

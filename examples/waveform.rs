@@ -34,19 +34,14 @@ fn main() {
 
     // Record the first few thousand cycles (the interesting window: boot
     // lockstep, first divergence).
-    let budget = 4_000u64;
-    for _ in 0..budget {
-        if sys.soc().all_halted() {
-            break;
-        }
-        let report = sys.step();
+    sys.run_with(4_000, |sys, report| {
         vcd.set_channel(ch_ds, u64::from(report.ds_match));
         vcd.set_channel(ch_is, u64::from(report.is_match));
         vcd.set_channel(ch_nd, u64::from(report.no_diversity));
         vcd.set_channel(ch_diff, sys.monitor().instruction_diff().value() as u64);
         let (p0, p1) = (*sys.soc().probe(0), *sys.soc().probe(1));
         vcd.sample(&[&p0, &p1]);
-    }
+    });
 
     let cycles = vcd.cycles();
     let path = std::path::Path::new("safedm_trace.vcd");

@@ -83,6 +83,7 @@ use safedm::tacle::{
     build_kernel_program, build_twin_pair, build_twin_program, kernels, HarnessConfig,
     StaggerConfig, TwinConfig,
 };
+use safedm_bench::experiments::run_gated;
 use safedm_bench::http::{ServeConfig, Server};
 use safedm_bench::{args, service};
 
@@ -157,31 +158,26 @@ fn observed_run(
         SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },
     );
     sys.load_program(&prog);
-    sys.attach_obs(RunObserver::new(
+    let mut obs = RunObserver::new(
         ObsConfig { trace_capacity: events.max(1) as usize, counter_interval: interval },
         sys.soc().core_count(),
-    ));
+    );
 
-    match profile {
-        Some(prof) => {
-            let mut spent = 0u64;
-            while spent < max_cycles && !sys.soc().all_halted() {
-                sys.step_profiled(prof);
-                spent += 1;
-            }
-            sys.run(max_cycles.saturating_sub(spent));
-        }
-        None => {
-            sys.run(max_cycles);
+    let mut spent = 0u64;
+    if let Some(prof) = profile {
+        while spent < max_cycles && !sys.soc().all_halted() {
+            let report = sys.step_profiled(prof);
+            obs.on_cycle(sys.soc(), sys.monitor(), &report);
+            spent += 1;
         }
     }
-    sys.monitor_mut().finish();
+    sys.run_with(max_cycles - spent, |sys, r| obs.on_cycle(sys.soc(), sys.monitor(), r));
+    obs.finish(sys.soc(), sys.monitor());
     if !sys.soc().all_halted() {
         // A bounded window over a longer run is a normal way to trace;
         // report it but keep the collected observations.
         eprintln!("note: budget of {max_cycles} cycles expired before the program halted");
     }
-    let obs = sys.detach_obs().expect("observer attached above");
     Ok((name, sys, obs))
 }
 
@@ -474,11 +470,7 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
 
     if args::flag(args, "--gate") {
         println!("\ncross-validating against the runtime monitor (stagger 0) ...");
-        let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
-        sys.enable_static_gate(cfg);
-        sys.load_program(&prog);
-        sys.run(max_cycles);
-        let gate = sys.detach_gate().expect("gate armed by load_program");
+        let (_, gate) = run_gated(&prog, report, max_cycles);
         print!("{}", gate.summary());
         if !gate.all_confirmed() {
             return Err("cross-validation REFUTED a guaranteed prediction".to_owned());
@@ -917,22 +909,19 @@ fn run() -> Result<(), String> {
         (v, nd, diff)
     });
 
+    // The drain after the halt is not sampled.
     let mut spent = 0u64;
-    while spent < max_cycles && !sys.soc().all_halted() {
-        let report = sys.step();
+    let mut running = true;
+    let out = sys.run_with(max_cycles, |sys, report| {
         spent += 1;
-        if let Some((v, nd, diff)) = vcd.as_mut() {
-            if spent <= vcd_cycles {
-                v.set_channel(*nd, u64::from(report.no_diversity));
-                v.set_channel(*diff, sys.monitor().instruction_diff().value() as u64);
-                let (p0, p1) = (*sys.soc().probe(0), *sys.soc().probe(1));
-                v.sample(&[&p0, &p1]);
-            }
+        if let Some((v, nd, diff)) = vcd.as_mut().filter(|_| running && spent <= vcd_cycles) {
+            v.set_channel(*nd, u64::from(report.no_diversity));
+            v.set_channel(*diff, sys.monitor().instruction_diff().value() as u64);
+            let (p0, p1) = (*sys.soc().probe(0), *sys.soc().probe(1));
+            v.sample(&[&p0, &p1]);
         }
-    }
-    // Drain store buffers / finish the monitor.
-    let out = sys.run(max_cycles.saturating_sub(spent));
-    sys.monitor_mut().finish();
+        running = !sys.soc().all_halted();
+    });
 
     if let (Some((v, ..)), Some(path)) = (vcd, vcd_path.as_ref()) {
         v.write_to(std::path::Path::new(path)).map_err(|e| e.to_string())?;
@@ -955,7 +944,7 @@ fn run() -> Result<(), String> {
         println!(
             "{{\"program\":\"{name}\",\"cycles\":{},\"observed\":{},\"zero_stag\":{zero_stag},\
              \"no_div\":{},\"ds_match\":{},\"is_match\":{},\"a0\":[{},{}],\"irq\":{}}}",
-            spent + out.run.cycles,
+            out.run.cycles,
             c.cycles_observed,
             c.no_div_cycles,
             c.ds_match_cycles,
@@ -966,7 +955,7 @@ fn run() -> Result<(), String> {
         );
     } else {
         println!("program          : {name}");
-        println!("cycles           : {}", spent + out.run.cycles);
+        println!("cycles           : {}", out.run.cycles);
         println!("exits            : {} / {}", exits[0], exits[1]);
         println!("a0               : {:#x} / {:#x}", a0[0], a0[1]);
         if let Some(g) = golden {

@@ -40,14 +40,14 @@ fn no_div_cycles_imply_both_signatures_matched() {
     let prog = build_kernel_program(k, &HarnessConfig::default());
     let mut sys = MonitoredSoc::new(SocConfig::default(), polling_cfg());
     sys.load_program(&prog);
-    sys.enable_trace();
-    let out = sys.run(100_000_000);
+    let out = sys.run_with(100_000_000, |sys, r| {
+        let cycle = sys.soc().cycle();
+        assert!(
+            !r.no_diversity || (r.ds_match && r.is_match),
+            "no-div requires both matches (cycle {cycle})"
+        );
+    });
     assert!(out.run.all_clean());
-    for s in sys.take_trace() {
-        if s.no_diversity {
-            assert!(s.ds_match && s.is_match, "no-div requires both matches (cycle {})", s.cycle);
-        }
-    }
     let c = sys.monitor().counters();
     assert!(c.no_div_cycles <= c.ds_match_cycles);
     assert!(c.no_div_cycles <= c.is_match_cycles);

@@ -1,6 +1,7 @@
 //! Golden-file pinning of the Table I artefacts (the rendered text table
 //! and the JSON document, for the legacy (paper-protocol) seed mode on two
-//! small kernels) and of the monitor's full counter state.
+//! small kernels), of the monitor's full counter state, and of what the
+//! per-cycle observers of a monitored run produce.
 //!
 //! These fixtures freeze the *bytes* a release tarball would ship — any
 //! formatting drift, row reordering, or numeric change in the simulated
@@ -9,12 +10,17 @@
 
 use std::path::PathBuf;
 
+use safedm::analysis::{analyze, AnalysisConfig};
 use safedm::asm::{Asm, Program};
 use safedm::isa::Reg;
-use safedm::monitor::{regs, IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
+use safedm::monitor::{
+    regs, IsLayout, MonitoredSoc, ObsConfig, ReportMode, RunObserver, SafeDmConfig, TraceSample,
+};
 use safedm::soc::SocConfig;
 use safedm::tacle::{build_kernel_program, kernels, HarnessConfig, StaggerConfig};
-use safedm_bench::experiments::{json, render_table1, summarize_table1, table1};
+use safedm_bench::experiments::{
+    gate_hazards, json, render_table1, run_gated, summarize_table1, table1, RUN_BUDGET,
+};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
@@ -185,4 +191,57 @@ fn monitor_counters_match_golden() {
         cells.into_iter().map(|h| h.join().expect("cell thread")).collect()
     });
     check_golden("monitor_counters.txt", &(lines.join("\n") + "\n"));
+}
+
+/// FNV-1a over every field of every sample.
+fn trace_digest(trace: &[TraceSample]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for s in trace {
+        let flags = [s.zero_stagger, s.ds_match, s.is_match, s.no_diversity].map(u8::from);
+        for b in s.cycle.to_le_bytes().into_iter().chain(s.diff.to_le_bytes()).chain(flags) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// What the per-cycle observers of a monitored run produce: a
+/// `RunObserver` metric snapshot (the `tests/observability.rs` run), the
+/// static gate's verdicts on four kernels and the `static_vs_dynamic`
+/// hazards, and a trace of `fac` at 0 nops.
+#[test]
+fn observers_match_golden() {
+    let polling = SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() };
+    let kernel = |name: &str| {
+        build_kernel_program(kernels::by_name(name).expect("kernel"), &HarnessConfig::default())
+    };
+
+    let mut sys = MonitoredSoc::new(SocConfig::default(), polling);
+    sys.load_program(&kernel("prime"));
+    let mut obs = RunObserver::new(ObsConfig::default(), 2);
+    sys.run_with(50_000, |sys, r| obs.on_cycle(sys.soc(), sys.monitor(), r));
+    obs.finish(sys.soc(), sys.monitor());
+    let mut text =
+        format!("run observer, prime, 50000 cycles:\n{}\n", obs.metrics_snapshot().to_json());
+
+    let mut gated: Vec<(&str, Program, u64)> = ["fac", "prime", "fft", "bitcount"]
+        .into_iter()
+        .map(|name| (name, kernel(name), RUN_BUDGET))
+        .collect();
+    gated.extend(gate_hazards().into_iter().map(|(name, prog)| (name, prog, 100_000)));
+    for (name, prog, budget) in &gated {
+        let (_, gate) = run_gated(prog, analyze(prog, &AnalysisConfig::default()), *budget);
+        text += &format!("gate, {name}:\n{}", gate.summary());
+    }
+
+    let mut sys = MonitoredSoc::new(SocConfig::default(), polling);
+    sys.load_program(&kernel("fac"));
+    let mut trace = Vec::new();
+    sys.run_with(RUN_BUDGET, |sys, r| trace.push(TraceSample::new(sys, r)));
+    text += &format!(
+        "trace, fac, 0 nops: {} samples, digest {:#018x}\n",
+        trace.len(),
+        trace_digest(&trace)
+    );
+    check_golden("observers.txt", &text);
 }

@@ -152,7 +152,6 @@ proptest! {
 /// core, recompared in full every cycle.
 struct ReferenceMonitor {
     layout: IsLayout,
-    include_stale: bool,
     ds: [Vec<VecDeque<(bool, u64)>>; 2],
     is: [Vec<(bool, u32)>; 2],
     stagger: i64,
@@ -166,7 +165,6 @@ impl ReferenceMonitor {
         let slots = vec![(false, 0); PIPE_STAGES * PIPE_WIDTH];
         ReferenceMonitor {
             layout: cfg.is_layout,
-            include_stale: cfg.include_stale_bits,
             ds: [fifos.clone(), fifos],
             is: [slots.clone(), slots],
             stagger: 0,
@@ -181,11 +179,7 @@ impl ReferenceMonitor {
                 .stages
                 .iter()
                 .flatten()
-                .map(|s| match (s.valid, self.include_stale) {
-                    (true, _) => (true, s.raw),
-                    (false, true) => (false, s.raw),
-                    (false, false) => (false, 0),
-                })
+                .map(|s| if s.valid { (true, s.raw) } else { (false, 0) })
                 .collect(),
             IsLayout::InFlight => {
                 p.stages.iter().rev().flatten().filter(|s| s.valid).map(|s| (true, s.raw)).collect()
@@ -323,13 +317,11 @@ proptest! {
     fn monitor_matches_naive_reference(
         depth in 1usize..=16,
         in_flight in any::<bool>(),
-        include_stale_bits in any::<bool>(),
         steps in proptest::collection::vec(any_pair_step(), 1..120),
     ) {
         let cfg = SafeDmConfig {
             data_fifo_depth: depth,
             is_layout: if in_flight { IsLayout::InFlight } else { IsLayout::PerStage },
-            include_stale_bits,
             track_hamming: true,
             ..SafeDmConfig::default()
         };

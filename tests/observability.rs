@@ -16,9 +16,9 @@ fn observed_prime_run() -> (MonitoredSoc, RunObserver) {
     let dm = SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() };
     let mut sys = MonitoredSoc::new(SocConfig::default(), dm);
     sys.load_program(&prog);
-    sys.attach_obs(RunObserver::new(ObsConfig::default(), 2));
-    sys.run(CYCLES);
-    let obs = sys.detach_obs().expect("observer attached");
+    let mut obs = RunObserver::new(ObsConfig::default(), 2);
+    sys.run_with(CYCLES, |sys, r| obs.on_cycle(sys.soc(), sys.monitor(), r));
+    obs.finish(sys.soc(), sys.monitor());
     (sys, obs)
 }
 

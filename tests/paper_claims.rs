@@ -1,6 +1,6 @@
 //! The paper's central claims, executable.
 
-use safedm::monitor::{MonitoredSoc, ReportMode, SafeDm, SafeDmConfig};
+use safedm::monitor::{MonitoredSoc, ReportMode, SafeDm, SafeDmConfig, TraceSample};
 use safedm::power::{estimate_area, estimate_power, Activity};
 use safedm::soc::{CoreProbe, MpSoc, SocConfig};
 use safedm::tacle::{build_kernel_program, kernels, HarnessConfig};
@@ -92,9 +92,9 @@ fn claim_comparison_blind_without_diversity() {
     let lockstep_cycles: Vec<u64> = {
         let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
         sys.load_program(&prog);
-        sys.enable_trace();
-        let _ = sys.run(100_000_000);
-        sys.take_trace()
+        let mut trace = Vec::new();
+        sys.run_with(100_000_000, |sys, r| trace.push(TraceSample::new(sys, r)));
+        trace
             .iter()
             .filter(|t| t.no_diversity && t.zero_stagger && t.cycle > 150)
             .map(|t| t.cycle)
@@ -144,12 +144,13 @@ fn claim_false_positives_exist_and_err_toward_caution() {
         SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },
     );
     sys.load_program(&prog);
-    sys.enable_trace();
-    let out = sys.run(100_000_000);
-    assert!(out.run.all_clean());
     // Flagged cycles while the staggering counter is visibly nonzero:
-    let false_positives =
-        sys.take_trace().iter().filter(|t| t.no_diversity && t.diff.unsigned_abs() > 20).count();
+    let mut false_positives = 0usize;
+    let out = sys.run_with(100_000_000, |sys, r| {
+        let diff = sys.monitor().instruction_diff().value();
+        false_positives += usize::from(r.no_diversity && diff.unsigned_abs() > 20);
+    });
+    assert!(out.run.all_clean());
     assert!(false_positives > 0, "recursion@100nops is the documented false-positive scenario");
     // And they are rare relative to the run (safe to treat as errors).
     assert!((false_positives as f64) < 0.05 * out.cycles_observed as f64);
