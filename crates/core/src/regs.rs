@@ -1,9 +1,11 @@
 //! The SafeDM APB register map (paper, Section IV-B2).
 //!
 //! SafeDM is integrated as an APB slave. The model mirrors the monitor's
-//! architectural state into an [`ApbRegisterFile`] each cycle so guest
-//! programs can poll it, and applies guest-written control registers back to
-//! the monitor. Everything outside the APB logic is bus-agnostic, as the
+//! architectural state into an [`ApbRegisterFile`] whenever it can be
+//! read — in every cycle an APB read is pending or on the bus, and when a
+//! run ends — so guest programs poll exactly what a per-cycle mirror would
+//! show, and applies guest-written control registers back to the monitor
+//! every cycle. Everything outside the APB logic is bus-agnostic, as the
 //! paper requires.
 
 use safedm_soc::ApbRegisterFile;

@@ -192,10 +192,17 @@ impl MonitoredSoc {
     }
 
     /// One cycle: SoC, then SafeDE (if attached), then per pair the APB
-    /// command application, the SafeDM observation and the APB mirror — so
-    /// a control write (guest or host) takes effect before the cycle is
-    /// judged. Returns pair 0's verdict; the others are in
-    /// [`SafeDm::last_report`].
+    /// command application and the SafeDM observation — so a control write
+    /// (guest or host) takes effect before the cycle is judged — and, while
+    /// an APB read is pending or on the bus, the APB mirror. Returns pair
+    /// 0's verdict; the others are in [`SafeDm::last_report`].
+    ///
+    /// A guest read completes at the start of a cycle and sees the mirror
+    /// taken at the end of the cycle before, so it reads exactly what a
+    /// mirror taken every cycle would show. Between manual `step` calls the
+    /// counter registers of a bank show the last mirror;
+    /// [`run`](Self::run) and [`run_with`](Self::run_with) mirror every bank
+    /// when they end.
     pub fn step(&mut self) -> CycleReport {
         self.soc.step();
         self.post_step()
@@ -213,10 +220,13 @@ impl MonitoredSoc {
         if let Some(de) = self.safede.as_mut() {
             de.control(&mut self.soc);
         }
+        let readable = self.soc.uncore().apb_read_in_flight();
         for p in &mut self.pairs {
             regs::apply_commands(&mut p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
             p.dm.observe(self.soc.probe(p.cores.0), self.soc.probe(p.cores.1));
-            regs::mirror(&p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
+            if readable {
+                regs::mirror(&p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
+            }
         }
         self.pairs[0].dm.last_report()
     }
@@ -286,6 +296,9 @@ impl MonitoredSoc {
     }
 
     /// Pair `i`: its cores, its monitor and the APB bank mirroring it.
+    /// The bank's counter registers show the last mirror: current after
+    /// [`run`](Self::run) or [`run_with`](Self::run_with), possibly stale
+    /// between manual [`step`](Self::step) calls.
     ///
     /// # Panics
     ///
@@ -314,7 +327,8 @@ impl MonitoredSoc {
         self.safede.as_ref()
     }
 
-    /// The APB bank mirroring pair 0's monitor registers.
+    /// The APB bank mirroring pair 0's monitor registers (as of the last
+    /// mirror, see [`pair`](Self::pair)).
     #[must_use]
     pub fn apb_bank(&self) -> &ApbRegisterFile {
         self.pair(0).2

@@ -3,8 +3,10 @@
 //! SafeDM is integrated in the real MPSoC as an APB slave; the model mirrors
 //! that with a generic 64-bit register file mapped into the APB window. The
 //! monitor (which lives outside this crate) mirrors its architectural
-//! registers into such a file each cycle, so guest programs can poll
-//! diversity state exactly as on the FPGA platform.
+//! registers into such a file in every cycle an APB read is in flight (see
+//! [`Uncore::apb_read_in_flight`](crate::Uncore::apb_read_in_flight)), so
+//! guest programs can poll diversity state exactly as on the FPGA
+//! platform.
 
 /// A bank of 64-bit memory-mapped registers exposed over APB.
 ///

@@ -114,6 +114,10 @@ pub struct Uncore {
     /// Functional backing store (public for loaders and checkers).
     pub mem: MainMemory,
     ports: Vec<Port>,
+    /// Bit `i` is set while port `i` has a request (pending or granted).
+    pending: u64,
+    /// APB reads requested and not yet completed.
+    apb_reads: u32,
     active: Option<Active>,
     rr_next: usize,
     apb: Vec<ApbRegisterFile>,
@@ -132,13 +136,22 @@ impl std::fmt::Debug for Uncore {
 
 impl Uncore {
     /// Creates the uncore for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has more than 21 cores: the arbiter keeps one bit per
+    /// bus port in a 64-bit mask.
     #[must_use]
     pub fn new(cfg: &SocConfig) -> Uncore {
+        let ports = cfg.cores * UNITS_PER_CORE;
+        assert!(ports <= 64, "the bus arbiter serves at most 21 cores");
         Uncore {
             cfg: cfg.clone(),
             l2: TagCache::new(cfg.l2),
             mem: MainMemory::new(cfg.ram_base, cfg.ram_size),
-            ports: (0..cfg.cores * UNITS_PER_CORE).map(|_| Port::default()).collect(),
+            ports: (0..ports).map(|_| Port::default()).collect(),
+            pending: 0,
+            apb_reads: 0,
             active: None,
             rr_next: 0,
             apb: Vec::new(),
@@ -186,16 +199,25 @@ impl Uncore {
     /// Panics if the port already has a pending request or an uncollected
     /// completion (requesters must poll [`Uncore::take_done`] first).
     pub fn request(&mut self, port: PortId, op: BusOp) {
-        let p = &mut self.ports[port.index()];
+        let idx = port.index();
+        let p = &mut self.ports[idx];
         assert!(p.pending.is_none() && p.done.is_none(), "bus port {port:?} busy");
+        self.apb_reads += u32::from(matches!(op, BusOp::ApbRead { .. }));
         p.pending = Some(op);
+        self.pending |= 1 << idx;
     }
 
     /// Whether `port` has a request in flight (pending or granted).
     #[must_use]
     pub fn in_flight(&self, port: PortId) -> bool {
-        let idx = port.index();
-        self.ports[idx].pending.is_some() || self.active.as_ref().is_some_and(|a| a.port == idx)
+        self.pending & (1 << port.index()) != 0
+    }
+
+    /// Whether an APB read is pending or on the bus: the only time a
+    /// requester can observe an APB register.
+    #[must_use]
+    pub fn apb_read_in_flight(&self) -> bool {
+        self.apb_reads != 0
     }
 
     /// Collects the completion for `port`, if any.
@@ -234,6 +256,7 @@ impl Uncore {
 
     fn complete(&mut self, port_idx: usize) {
         let op = self.ports[port_idx].pending.take().expect("active port has op");
+        self.pending &= !(1 << port_idx);
         let result = match op {
             BusOp::ReadLine { key } => {
                 // Request merging (L2 MSHR behaviour): any other port waiting
@@ -242,12 +265,15 @@ impl Uncore {
                 // shared-code fetches can merge — which is what keeps
                 // bit-identical redundant cores in lockstep until their
                 // first private-data access serialises them.
-                for p in &mut self.ports {
-                    if matches!(p.pending, Some(BusOp::ReadLine { key: k }) if k == key)
-                        && p.done.is_none()
-                    {
+                let mut waiting = self.pending;
+                while waiting != 0 {
+                    let idx = waiting.trailing_zeros() as usize;
+                    waiting &= waiting - 1;
+                    let p = &mut self.ports[idx];
+                    if matches!(p.pending, Some(BusOp::ReadLine { key: k }) if k == key) {
                         p.pending = None;
                         p.done = Some(BusResult::Done);
+                        self.pending &= !(1 << idx);
                         self.stats.merged_reads += 1;
                         self.stats.transactions += 1;
                     }
@@ -265,6 +291,7 @@ impl Uncore {
                 BusResult::Done
             }
             BusOp::ApbRead { addr } => {
+                self.apb_reads -= 1;
                 let data = self.apb.iter().find(|s| s.contains(addr)).map_or(0, |s| s.read(addr));
                 BusResult::ApbData(data)
             }
@@ -283,14 +310,8 @@ impl Uncore {
     /// transaction and, when the bus is idle, grants the next requester in
     /// round-robin order.
     pub fn step(&mut self) {
-        let waiting = self
-            .ports
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| {
-                p.pending.is_some() && self.active.as_ref().is_none_or(|a| a.port != *i)
-            })
-            .count();
+        // The granted port keeps its request until it completes.
+        let waiting = self.pending.count_ones() - u32::from(self.active.is_some());
 
         if let Some(active) = &mut self.active {
             self.stats.busy_cycles += 1;
@@ -306,30 +327,29 @@ impl Uncore {
             return;
         }
 
+        if self.pending == 0 {
+            return;
+        }
         // Arbitration: round-robin starting after the last granted port,
-        // or fixed priority from port 0.
-        let n = self.ports.len();
+        // or fixed priority from port 0: the first requester at or after
+        // `start`, wrapping around.
         let start = match self.cfg.arbitration {
             crate::ArbitrationPolicy::RoundRobin => self.rr_next,
             crate::ArbitrationPolicy::FixedPriority => 0,
         };
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if self.ports[idx].pending.is_some() && self.ports[idx].done.is_none() {
-                if waiting > 1 {
-                    self.stats.contended_cycles += 1;
-                }
-                let key = match self.ports[idx].pending.as_ref().expect("checked") {
-                    BusOp::ReadLine { key } => Some(*key),
-                    BusOp::WriteLine(entry) => Some(entry.space.fold(entry.line_addr)),
-                    BusOp::ApbRead { .. } | BusOp::ApbWrite { .. } => None,
-                };
-                let latency = self.grant_latency(key);
-                self.active = Some(Active { port: idx, remaining: latency });
-                self.rr_next = (idx + 1) % n;
-                return;
-            }
+        let from_start = self.pending & (u64::MAX << start);
+        let idx = if from_start != 0 { from_start } else { self.pending }.trailing_zeros() as usize;
+        if waiting > 1 {
+            self.stats.contended_cycles += 1;
         }
+        let key = match self.ports[idx].pending.as_ref().expect("pending bit set") {
+            BusOp::ReadLine { key } => Some(*key),
+            BusOp::WriteLine(entry) => Some(entry.space.fold(entry.line_addr)),
+            BusOp::ApbRead { .. } | BusOp::ApbWrite { .. } => None,
+        };
+        let latency = self.grant_latency(key);
+        self.active = Some(Active { port: idx, remaining: latency });
+        self.rr_next = (idx + 1) % self.ports.len();
     }
 
     /// Interconnect statistics.
@@ -477,9 +497,12 @@ mod tests {
         let base = u.config().apb_base;
         u.add_apb_slave(ApbRegisterFile::new(base, 4));
         u.request(P0, BusOp::ApbWrite { addr: base + 8, data: 77 });
+        assert!(!u.apb_read_in_flight(), "a write is not a read");
         run_until_done(&mut u, P0, 50);
         u.request(P0, BusOp::ApbRead { addr: base + 8 });
+        assert!(u.apb_read_in_flight());
         let (r, c) = run_until_done(&mut u, P0, 50);
+        assert!(!u.apb_read_in_flight());
         assert_eq!(r, BusResult::ApbData(77));
         // one arbitration cycle plus the APB access latency
         assert_eq!(c, u.config().apb_latency + 1);

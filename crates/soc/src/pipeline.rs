@@ -6,10 +6,16 @@
 //! Groups may *split* at issue (`D` → `RA`) when the pair violates a
 //! dual-issue constraint; after issue they travel as a unit.
 //!
+//! Instructions stay put: each in-flight group lives in one of seven fixed
+//! buffers and a stage holds the index of its buffer, so an advance swaps
+//! two indices instead of moving a group. A group keeps its index from `EX`
+//! to `WB`, which lets forwarding read a per-register producer table.
+//!
 //! The model is cycle-driven: [`Core::step`] advances one clock, interacting
 //! with the shared [`Uncore`] through its three bus ports (ifetch, data,
-//! store drain) and producing a fresh [`CoreProbe`] for the diversity
-//! monitor.
+//! store drain). The [`CoreProbe`] the diversity monitor reads is kept up to
+//! date, not rebuilt: a stage's instruction latches are written where slots
+//! enter or leave it, and the per-cycle fields at the end of the step.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,7 +26,7 @@ use safedm_isa::{
 };
 
 use crate::iss::Text;
-use crate::probe::{CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH};
+use crate::probe::{CoreProbe, StageSlot, PIPE_STAGES, PIPE_WIDTH};
 use crate::{
     BusOp, BusResult, BusUnit, CoreExit, MemSpace, PortId, RegFile, SbForward, SocConfig,
     StoreBuffer, TagCache, TrapCause, Uncore,
@@ -33,6 +39,11 @@ const EX: usize = 3;
 const ME: usize = 4;
 const XC: usize = 5;
 const WB: usize = 6;
+
+/// The bit of `stage` in the occupancy mask.
+const fn stage_bit(stage: usize) -> u8 {
+    1 << stage
+}
 
 /// One in-flight instruction.
 #[derive(Debug, Clone)]
@@ -85,21 +96,6 @@ impl Slot {
 }
 
 type Group = [Option<Slot>; PIPE_WIDTH];
-
-fn group_empty(g: &Group) -> bool {
-    g.iter().all(Option::is_none)
-}
-
-/// `csr` as a CSR instruction at `EX` reads it. CSR writes apply at `WB`,
-/// so the writes of the `older` in-flight groups (`WB`, `XC`, `ME`, oldest
-/// first) are replayed over the committed file before the read.
-fn csr_at_ex(csrs: &CsrFile, older: [&Group; 3], csr: u16) -> u64 {
-    let mut csrs = csrs.clone();
-    for (c, v) in older.into_iter().flatten().flatten().filter_map(|s| s.csr_write) {
-        csrs.write(c, v);
-    }
-    csrs.read(csr).unwrap_or(0)
-}
 
 /// One committed instruction, as recorded by the optional commit trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,8 +160,19 @@ pub struct Core {
     l1i: TagCache,
     l1d: TagCache,
     sb: StoreBuffer,
-    stages: [Group; PIPE_STAGES],
-    stale_raw: [[u32; PIPE_WIDTH]; PIPE_STAGES],
+    /// The in-flight groups, which stay put while they advance.
+    groups: [Group; PIPE_STAGES],
+    /// Stage `s` holds `groups[at[s]]`; the entries are a permutation.
+    at: [u8; PIPE_STAGES],
+    /// Bit `s` is set while stage `s` holds a group.
+    occ: u8,
+    /// Per register, the `(group, slot)` of its youngest producer in
+    /// `EX`..`WB`: the slot the bypass network forwards from.
+    producer: [Option<(u8, u8)>; 32],
+    /// Stages entered this cycle, and the encodings their latches held
+    /// before the entry (a trap restores them, see [`Core::trap`]).
+    entered: u8,
+    latch_before: [[u32; PIPE_WIDTH]; PIPE_STAGES],
     fetch_pc: u64,
     /// The loaded program's text, decoded once and shared by all cores.
     text: Arc<Text>,
@@ -177,6 +184,7 @@ pub struct Core {
     /// Folded line key of the in-flight ifetch request, if any.
     ifetch_key: Option<u64>,
     sb_force: bool,
+    /// The monitor's view; its stage latches are written where slots move.
     probe: CoreProbe,
     stats: CoreStats,
     commit_trace: Option<(VecDeque<CommitRecord>, usize)>,
@@ -211,8 +219,12 @@ impl Core {
                 cfg.l1d.line_bytes,
                 cfg.store_drain_delay,
             ),
-            stages: Default::default(),
-            stale_raw: [[0; PIPE_WIDTH]; PIPE_STAGES],
+            groups: Default::default(),
+            at: [0, 1, 2, 3, 4, 5, 6],
+            occ: 0,
+            producer: [None; 32],
+            entered: 0,
+            latch_before: [[0; PIPE_WIDTH]; PIPE_STAGES],
             fetch_pc: 0,
             text: Arc::default(),
             exit: CoreExit::Running,
@@ -272,7 +284,8 @@ impl Core {
         self.text = text;
     }
 
-    /// Latest per-cycle probe (rebuilt by every [`Core::step`]).
+    /// The probe as of the last [`Core::step`]: its stage latches change
+    /// where slots move and its per-cycle fields at the end of each step.
     #[must_use]
     pub fn probe(&self) -> &CoreProbe {
         &self.probe
@@ -316,20 +329,21 @@ impl Core {
     /// `slot`, if one is present (fault-injection site inspection).
     #[must_use]
     pub fn peek_stage_result(&self, stage: usize, slot: usize) -> Option<u64> {
-        self.stages.get(stage).and_then(|g| g[slot].as_ref()).and_then(|s| s.result)
+        let g = *self.at.get(stage)?;
+        self.groups[usize::from(g)][slot].as_ref()?.result
     }
 
     /// Flips one bit of the forwardable result latch of pipeline stage
     /// `stage`, slot `slot`, if a result is present there. Returns `true`
     /// when a flip landed (fault injection).
     pub fn flip_stage_result_bit(&mut self, stage: usize, slot: usize, bit: u8) -> bool {
-        if let Some(Some(s)) = self.stages.get_mut(stage).map(|g| &mut g[slot]) {
-            if let Some(r) = s.result.as_mut() {
-                *r ^= 1u64 << (bit & 63);
-                return true;
-            }
-        }
-        false
+        let Some(&g) = self.at.get(stage) else { return false };
+        let Some(r) = self.groups[usize::from(g)][slot].as_mut().and_then(|s| s.result.as_mut())
+        else {
+            return false;
+        };
+        *r ^= 1u64 << (bit & 63);
+        true
     }
 
     /// Asserts or releases the external stall line (used by the SafeDE
@@ -390,24 +404,80 @@ impl Core {
         }
     }
 
+    // ---- stage bookkeeping -------------------------------------------------------
+
+    fn occupied(&self, stage: usize) -> bool {
+        self.occ & stage_bit(stage) != 0
+    }
+
+    fn group(&self, stage: usize) -> &Group {
+        &self.groups[usize::from(self.at[stage])]
+    }
+
+    fn slot(&self, stage: usize, i: usize) -> &Slot {
+        self.group(stage)[i].as_ref().expect("slot exists")
+    }
+
+    fn slot_mut(&mut self, stage: usize, i: usize) -> &mut Slot {
+        self.groups[usize::from(self.at[stage])][i].as_mut().expect("slot exists")
+    }
+
+    /// Moves the group of stage `from` into the empty stage `to`: the two
+    /// stages swap group indices, the latches of `to` take the entering
+    /// encodings and those of `from` drop their valid bits.
+    fn advance(&mut self, from: usize, to: usize) {
+        debug_assert!(self.occupied(from) && !self.occupied(to));
+        self.at.swap(from, to);
+        self.occ ^= stage_bit(from) | stage_bit(to);
+        self.entered |= stage_bit(to);
+        let [src, dst] = self.probe.stages.get_disjoint_mut([from, to]).expect("two stages");
+        for ((s, d), before) in src.iter_mut().zip(dst).zip(&mut self.latch_before[to]) {
+            *before = d.raw;
+            if s.valid {
+                *d = *s;
+                s.valid = false;
+            }
+        }
+    }
+
+    /// Empties stage `stage`; its latches keep their encodings, as
+    /// hardware registers are not cleared on squash.
+    fn clear(&mut self, stage: usize) {
+        self.groups[usize::from(self.at[stage])] = Default::default();
+        self.occ &= !stage_bit(stage);
+        for l in &mut self.probe.stages[stage] {
+            l.valid = false;
+        }
+    }
+
+    /// Halts on `cause` and flushes the pipeline. The latches show the
+    /// pipeline as the cycle ends, so a stage entered earlier in this
+    /// cycle goes back to the encodings it held before the entry.
     fn trap(&mut self, cause: TrapCause) {
         self.exit = CoreExit::Trap(cause);
+        let entered = self.entered;
+        for s in (0..PIPE_STAGES).filter(|&s| entered & stage_bit(s) != 0) {
+            for (l, raw) in self.probe.stages[s].iter_mut().zip(self.latch_before[s]) {
+                l.raw = raw;
+            }
+        }
         self.flush_all();
     }
 
     fn flush_all(&mut self) {
-        for g in &mut self.stages {
-            *g = Default::default();
+        for s in 0..PIPE_STAGES {
+            self.clear(s);
         }
+        self.producer = [None; 32];
         self.ex_done = false;
         self.ex_remaining = 0;
         self.d_predecoded = false;
     }
 
     fn flush_front(&mut self, new_pc: u64) {
-        self.stages[F] = Default::default();
-        self.stages[D] = Default::default();
-        self.stages[RA] = Default::default();
+        for s in [F, D, RA] {
+            self.clear(s);
+        }
         self.d_predecoded = false;
         self.fetch_pc = new_pc;
         // An in-flight ifetch (ifetch_key) is not cancelled: the line still
@@ -429,13 +499,14 @@ impl Core {
                     self.l1i.fill(key);
                 }
             }
-            self.build_probe(true, 0);
+            self.end_cycle(true, 0);
             return;
         }
 
         self.csrs.mcycle += 1;
         self.stats.cycles += 1;
         self.regs.begin_cycle();
+        self.entered = 0;
 
         self.sb.tick();
         self.service_store_port(uncore, self.sb_force);
@@ -445,7 +516,7 @@ impl Core {
 
         if self.ext_stall {
             self.stats.hold_cycles += 1;
-            self.build_probe(true, 0);
+            self.end_cycle(true, 0);
             return;
         }
 
@@ -459,52 +530,8 @@ impl Core {
         let mut fetch_blocked = false;
 
         // ---- WB: commit -------------------------------------------------
-        if !group_empty(&self.stages[WB]) {
-            let group = std::mem::take(&mut self.stages[WB]);
-            for (i, slot) in group.into_iter().enumerate() {
-                let Some(slot) = slot else { continue };
-                let inst = slot.inst();
-                if let Some((trace, cap)) = self.commit_trace.as_mut() {
-                    if trace.len() >= *cap {
-                        trace.pop_front();
-                    }
-                    trace.push_back(CommitRecord {
-                        cycle: self.csrs.mcycle,
-                        pc: slot.pc,
-                        raw: slot.raw,
-                        rd: inst.rd(),
-                        value: inst.rd().and(slot.result),
-                    });
-                }
-                if let Some(rd) = inst.rd() {
-                    self.regs.write(i, rd, slot.result.expect("committing instruction has result"));
-                } else if let Some(v) = slot.result {
-                    if !matches!(inst, Inst::Branch { .. } | Inst::Store { .. }) {
-                        // x0-destination writes still drive the port lines.
-                        self.regs.write(i, Reg::ZERO, v);
-                    }
-                }
-                if let Some((csr, v)) = slot.csr_write {
-                    self.csrs.write(csr, v);
-                }
-                self.csrs.minstret += 1;
-                self.stats.retired += 1;
-                self.last_commit_pc = Some(slot.pc);
-                committed += 1;
-                match inst {
-                    Inst::Ebreak => {
-                        self.exit = CoreExit::Ebreak { pc: slot.pc };
-                        self.flush_all();
-                        break;
-                    }
-                    Inst::Ecall => {
-                        self.exit = CoreExit::Ecall { pc: slot.pc };
-                        self.flush_all();
-                        break;
-                    }
-                    _ => {}
-                }
-            }
+        if self.occupied(WB) {
+            committed = self.commit();
             if committed == 2 {
                 self.stats.dual_commits += 1;
             }
@@ -512,16 +539,16 @@ impl Core {
         }
 
         // ---- XC -> WB ----------------------------------------------------
-        if !self.halted() && group_empty(&self.stages[WB]) && !group_empty(&self.stages[XC]) {
-            self.stages[WB] = std::mem::take(&mut self.stages[XC]);
+        if !self.halted() && !self.occupied(WB) && self.occupied(XC) {
+            self.advance(XC, WB);
             progress = true;
         }
 
         // ---- ME ----------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[ME]) {
+        if !self.halted() && self.occupied(ME) {
             let all_done = self.process_me(uncore);
-            if all_done && group_empty(&self.stages[XC]) {
-                self.stages[XC] = std::mem::take(&mut self.stages[ME]);
+            if all_done && !self.occupied(XC) {
+                self.advance(ME, XC);
                 progress = true;
             } else if !all_done {
                 me_blocked = true;
@@ -529,7 +556,7 @@ impl Core {
         }
 
         // ---- EX ----------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[EX]) {
+        if !self.halted() && self.occupied(EX) {
             if !self.ex_done {
                 let latency = self.execute_group();
                 self.ex_done = true;
@@ -537,8 +564,8 @@ impl Core {
             } else if self.ex_remaining > 0 {
                 self.ex_remaining -= 1;
             }
-            if self.ex_done && self.ex_remaining == 0 && group_empty(&self.stages[ME]) {
-                self.stages[ME] = std::mem::take(&mut self.stages[EX]);
+            if self.ex_done && self.ex_remaining == 0 && !self.occupied(ME) {
+                self.advance(EX, ME);
                 self.ex_done = false;
                 progress = true;
             } else if self.ex_remaining > 0 {
@@ -547,9 +574,18 @@ impl Core {
         }
 
         // ---- RA -> EX ------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[RA]) && group_empty(&self.stages[EX]) {
+        if !self.halted() && self.occupied(RA) && !self.occupied(EX) {
             if self.read_operands() {
-                self.stages[EX] = std::mem::take(&mut self.stages[RA]);
+                self.advance(RA, EX);
+                // The entering group holds the youngest producers of its
+                // destinations (dual issue never pairs two writes of one
+                // register).
+                let g = self.at[EX];
+                for (i, slot) in self.groups[usize::from(g)].iter().enumerate() {
+                    if let Some(rd) = slot.as_ref().and_then(|s| s.inst().rd()) {
+                        self.producer[usize::from(rd.index())] = Some((g, i as u8));
+                    }
+                }
                 progress = true;
             } else {
                 operand_blocked = true;
@@ -557,23 +593,24 @@ impl Core {
         }
 
         // ---- D: predecode, then issue to RA ---------------------------------
-        if !self.halted() && !group_empty(&self.stages[D]) {
+        if !self.halted() && self.occupied(D) {
             if !self.d_predecoded && !self.decode_and_predecode() {
                 // trapped on illegal instruction
-            } else if !self.halted() && group_empty(&self.stages[RA]) && self.issue() {
+            } else if !self.halted() && !self.occupied(RA) {
+                self.issue();
                 progress = true;
             }
         }
 
         // ---- F -> D -----------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[F]) && group_empty(&self.stages[D]) {
-            self.stages[D] = std::mem::take(&mut self.stages[F]);
+        if !self.halted() && self.occupied(F) && !self.occupied(D) {
+            self.advance(F, D);
             self.d_predecoded = false;
             progress = true;
         }
 
         // ---- fetch ---------------------------------------------------------------
-        if !self.halted() && group_empty(&self.stages[F]) {
+        if !self.halted() && !self.occupied(F) {
             if self.fetch(uncore) {
                 progress = true;
             } else {
@@ -595,7 +632,76 @@ impl Core {
                 self.stats.stall_fetch_cycles += 1;
             }
         }
-        self.build_probe(!progress, committed);
+        self.end_cycle(!progress, committed);
+    }
+
+    /// Commits the `WB` group in place, then empties `WB`. Returns the
+    /// number of instructions committed.
+    fn commit(&mut self) -> u8 {
+        let g = self.at[WB];
+        let mut committed = 0;
+        for i in 0..PIPE_WIDTH {
+            let Some(slot) = self.groups[usize::from(g)][i].as_ref() else { continue };
+            let (pc, raw, inst, result, csr_write) =
+                (slot.pc, slot.raw, slot.inst(), slot.result, slot.csr_write);
+            if let Some((trace, cap)) = self.commit_trace.as_mut() {
+                if trace.len() >= *cap {
+                    trace.pop_front();
+                }
+                trace.push_back(CommitRecord {
+                    cycle: self.csrs.mcycle,
+                    pc,
+                    raw,
+                    rd: inst.rd(),
+                    value: inst.rd().and(result),
+                });
+            }
+            if let Some(rd) = inst.rd() {
+                self.regs.write(i, rd, result.expect("committing instruction has result"));
+                let producer = &mut self.producer[usize::from(rd.index())];
+                if *producer == Some((g, i as u8)) {
+                    *producer = None;
+                }
+            } else if let Some(v) = result {
+                if !matches!(inst, Inst::Branch { .. } | Inst::Store { .. }) {
+                    // x0-destination writes still drive the port lines.
+                    self.regs.write(i, Reg::ZERO, v);
+                }
+            }
+            if let Some((csr, v)) = csr_write {
+                self.csrs.write(csr, v);
+            }
+            self.csrs.minstret += 1;
+            self.stats.retired += 1;
+            self.last_commit_pc = Some(pc);
+            committed += 1;
+            match inst {
+                Inst::Ebreak => {
+                    self.exit = CoreExit::Ebreak { pc };
+                    self.flush_all();
+                    break;
+                }
+                Inst::Ecall => {
+                    self.exit = CoreExit::Ecall { pc };
+                    self.flush_all();
+                    break;
+                }
+                _ => {}
+            }
+        }
+        self.clear(WB);
+        committed
+    }
+
+    /// Sets the probe's per-cycle fields; its stage latches are current.
+    fn end_cycle(&mut self, hold: bool, committed: u8) {
+        let p = &mut self.probe;
+        p.cycle = self.csrs.mcycle;
+        p.hold = hold;
+        p.reads = self.regs.read_samples();
+        p.writes = self.regs.write_samples();
+        p.committed = committed;
+        p.halted = !self.exit.is_running();
     }
 
     // ---- fetch ----------------------------------------------------------------
@@ -607,7 +713,7 @@ impl Core {
             // Sequential prefetch may legitimately run off the end of the
             // text section while an `ebreak` is still in flight. Only a
             // drained pipeline with an invalid fetch PC is a true runaway.
-            if self.stages.iter().all(group_empty) && !uncore.in_flight(self.ifetch_port()) {
+            if self.occ == 0 && !uncore.in_flight(self.ifetch_port()) {
                 self.trap(TrapCause::FetchFault { pc });
             }
             return false;
@@ -630,22 +736,24 @@ impl Core {
             return false;
         }
 
-        let mut count = 0usize;
-        let mut slots: Group = Default::default();
-        for i in 0..PIPE_WIDTH as u64 {
-            let a = pc + 4 * i;
+        let f = usize::from(self.at[F]);
+        let mut count = 0;
+        for i in 0..PIPE_WIDTH {
+            let a = pc + 4 * i as u64;
             if self.l1i.line_base(a) != line || !self.in_code(a) {
                 break;
             }
-            slots[i as usize] = Some(Slot::fetched(a, self.text.at(a)));
+            let fetched = self.text.at(a);
+            self.probe.stages[F][i] = StageSlot { valid: true, raw: fetched.0 };
+            self.groups[f][i] = Some(Slot::fetched(a, fetched));
             count += 1;
         }
         if count == 0 {
             self.trap(TrapCause::FetchFault { pc });
             return false;
         }
+        self.occ |= stage_bit(F);
         self.fetch_pc = pc + 4 * count as u64;
-        self.stages[F] = slots;
         true
     }
 
@@ -655,77 +763,61 @@ impl Core {
     /// (`jal`, predicted-taken branches). Returns `false` on an
     /// illegal-instruction trap.
     fn decode_and_predecode(&mut self) -> bool {
-        if let Some(slot) = self.stages[D].iter().flatten().find(|s| s.inst.is_none()) {
-            self.trap(TrapCause::IllegalInstruction { pc: slot.pc, word: slot.raw });
+        let d = usize::from(self.at[D]);
+        if let Some(slot) = self.groups[d].iter().flatten().find(|s| s.inst.is_none()) {
+            let cause = TrapCause::IllegalInstruction { pc: slot.pc, word: slot.raw };
+            self.trap(cause);
             return false;
         }
         // Front-end redirect at the first control-flow slot.
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[D][i].as_ref() else { continue };
-            let pc = slot.pc;
-            match slot.inst() {
-                Inst::Jal { offset, .. } => {
-                    let target = pc.wrapping_add(offset as u64);
-                    for j in i + 1..PIPE_WIDTH {
-                        self.stages[D][j] = None;
-                    }
-                    self.flush_stage_f_and_redirect(target);
-                    break;
-                }
+            let Some(slot) = self.groups[d][i].as_mut() else { continue };
+            let target = match slot.inst() {
+                Inst::Jal { offset, .. } => slot.pc.wrapping_add(offset as u64),
                 // Static backward-taken / forward-not-taken prediction.
                 Inst::Branch { offset, .. } if offset < 0 => {
-                    let target = pc.wrapping_add(offset as u64);
-                    self.stages[D][i].as_mut().expect("slot exists").predicted_taken = true;
-                    for j in i + 1..PIPE_WIDTH {
-                        self.stages[D][j] = None;
-                    }
-                    self.flush_stage_f_and_redirect(target);
-                    break;
+                    slot.predicted_taken = true;
+                    slot.pc.wrapping_add(offset as u64)
                 }
-                _ => {}
+                _ => continue,
+            };
+            for j in i + 1..PIPE_WIDTH {
+                self.groups[d][j] = None;
+                self.probe.stages[D][j].valid = false;
             }
+            self.flush_stage_f_and_redirect(target);
+            break;
         }
         self.d_predecoded = true;
         true
     }
 
     fn flush_stage_f_and_redirect(&mut self, target: u64) {
-        self.stages[F] = Default::default();
+        self.clear(F);
         self.fetch_pc = target;
     }
 
-    /// Moves an issueable group from `D` into `RA`, splitting pairs that
-    /// violate dual-issue constraints. Returns `true` if anything issued.
-    fn issue(&mut self) -> bool {
-        let d = &mut self.stages[D];
-        // Compact: slot0 must exist (it may have been squashed by predecode
-        // while slot1 survived — normalise by shifting down).
-        if d[0].is_none() {
-            d[0] = d[1].take();
-        }
-        let Some(s0) = d[0].take() else {
-            // group became empty after squash
-            self.d_predecoded = false;
-            return false;
+    /// Moves the `D` group into `RA`, splitting a pair that violates a
+    /// dual-issue constraint: the older slot issues and the younger one
+    /// stays in `D`, already predecoded.
+    fn issue(&mut self) {
+        let d = usize::from(self.at[D]);
+        let split = match &self.groups[d] {
+            [Some(s0), Some(s1)] => !Self::can_dual_issue(&s0.inst(), &s1.inst()),
+            _ => false,
         };
-        let i0 = s0.inst();
-
-        let mut pair = false;
-        if let Some(s1) = d[1].as_ref() {
-            let i1 = s1.inst();
-            pair = Self::can_dual_issue(&i0, &i1);
-        }
-        let s1 = if pair { d[1].take() } else { None };
-        if d.iter().all(Option::is_none) {
+        self.advance(D, RA);
+        if !split {
             self.d_predecoded = false;
-        } else {
-            // remainder stays in D as a 1-slot group, already predecoded
-            if d[0].is_none() {
-                d[0] = d[1].take();
-            }
+            return;
         }
-        self.stages[RA] = [Some(s0), s1];
-        true
+        // The younger slot goes back to slot 0 of the (empty) group now in
+        // `D`; RA's second latch keeps the encoding it held.
+        let younger = self.groups[d][1].take().expect("split pair");
+        self.probe.stages[RA][1] = StageSlot { valid: false, raw: self.latch_before[RA][1] };
+        self.probe.stages[D][0] = StageSlot { valid: true, raw: younger.raw };
+        self.groups[usize::from(self.at[D])][0] = Some(younger);
+        self.occ |= stage_bit(D);
     }
 
     fn can_dual_issue(older: &Inst, younger: &Inst) -> bool {
@@ -756,9 +848,9 @@ impl Core {
     /// Attempts to read all operands of the `RA` group with forwarding.
     /// Returns `false` (stall) when a producer's value is not yet available.
     fn read_operands(&mut self) -> bool {
+        let ra = usize::from(self.at[RA]);
         // First check availability for every operand.
-        for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[RA][i].as_ref() else { continue };
+        for slot in self.groups[ra].iter().flatten() {
             let inst = slot.inst();
             for r in [inst.rs1(), inst.rs2()].into_iter().flatten() {
                 if self.forward_value(r).is_none() {
@@ -766,36 +858,19 @@ impl Core {
                 }
             }
         }
-        // All available: perform the reads, driving the port lines.
+        // All available: perform the reads, driving the port lines (a
+        // forwarded operand still drives its port).
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[RA][i].as_ref() else { continue };
-            let inst = slot.inst();
-            let rs1 = inst.rs1();
-            let rs2 = inst.rs2();
-            let mut v1 = 0;
-            let mut v2 = 0;
-            if let Some(r) = rs1 {
-                v1 = match self.bypass(r) {
-                    Some(v) => {
-                        // forwarded: the port still observes the read
-                        self.regs.read(2 * i, r);
-                        v
-                    }
-                    None => self.regs.read(2 * i, r),
-                };
+            let Some(inst) = self.groups[ra][i].as_ref().map(Slot::inst) else { continue };
+            let mut vals = [0; 2];
+            for (k, r) in [inst.rs1(), inst.rs2()].into_iter().enumerate() {
+                if let Some(r) = r {
+                    let v = self.regs.read(2 * i + k, r);
+                    vals[k] = self.bypass(r).unwrap_or(v);
+                }
             }
-            if let Some(r) = rs2 {
-                v2 = match self.bypass(r) {
-                    Some(v) => {
-                        self.regs.read(2 * i + 1, r);
-                        v
-                    }
-                    None => self.regs.read(2 * i + 1, r),
-                };
-            }
-            let s = self.stages[RA][i].as_mut().expect("slot exists");
-            s.rs1_val = v1;
-            s.rs2_val = v2;
+            let s = self.groups[ra][i].as_mut().expect("slot exists");
+            [s.rs1_val, s.rs2_val] = vals;
         }
         true
     }
@@ -817,27 +892,34 @@ impl Core {
         self.bypass_producer(r).map(|s| s.result.expect("checked by forward_value"))
     }
 
+    /// The youngest in-flight producer of `r` in `EX`..`WB`.
     fn bypass_producer(&self, r: Reg) -> Option<&Slot> {
-        for stage in [EX, ME, XC, WB] {
-            for i in (0..PIPE_WIDTH).rev() {
-                if let Some(slot) = self.stages[stage][i].as_ref() {
-                    if slot.inst().rd() == Some(r) {
-                        return Some(slot);
-                    }
-                }
-            }
-        }
-        None
+        let (g, i) = self.producer[usize::from(r.index())]?;
+        Some(self.groups[usize::from(g)][usize::from(i)].as_ref().expect("producer in flight"))
     }
 
     // ---- execute ------------------------------------------------------------------------
 
     /// Computes results for the `EX` group; returns the group latency.
     fn execute_group(&mut self) -> u32 {
+        let ex = usize::from(self.at[EX]);
+        // A CSR instruction (which issues alone) reads the committed file
+        // with the pending writes of the older groups in `WB`, `XC` and
+        // `ME` replayed over it, oldest first: CSR writes apply at `WB`.
+        let is_csr = |s: &Slot| matches!(s.inst(), Inst::Csr { .. } | Inst::CsrImm { .. });
+        let csrs = self.groups[ex].iter().flatten().any(is_csr).then(|| {
+            let mut csrs = self.csrs.clone();
+            for stage in [WB, XC, ME] {
+                for (c, v) in self.group(stage).iter().flatten().filter_map(|s| s.csr_write) {
+                    csrs.write(c, v);
+                }
+            }
+            csrs
+        });
+        let csr_at_ex = |csr| csrs.as_ref().and_then(|f| f.read(csr)).unwrap_or(0);
         let mut latency = 1u32;
         let mut redirect: Option<u64> = None;
-        let [.., ex, me, xc, wb] = &mut self.stages;
-        for slot in ex.iter_mut().flatten() {
+        for slot in self.groups[ex].iter_mut().flatten() {
             let inst = slot.inst();
             let pc = slot.pc;
             let (a, b) = (slot.rs1_val, slot.rs2_val);
@@ -881,7 +963,7 @@ impl Core {
                     slot.rs2_val = b; // store data
                 }
                 Inst::Csr { kind, csr, rs1, .. } => {
-                    let old = csr_at_ex(&self.csrs, [wb, xc, me], csr);
+                    let old = csr_at_ex(csr);
                     slot.result = Some(old);
                     let new = match kind {
                         CsrKind::Rw => a,
@@ -894,7 +976,7 @@ impl Core {
                     }
                 }
                 Inst::CsrImm { kind, csr, zimm, .. } => {
-                    let old = csr_at_ex(&self.csrs, [wb, xc, me], csr);
+                    let old = csr_at_ex(csr);
                     slot.result = Some(old);
                     let z = u64::from(zimm);
                     let new = match kind {
@@ -922,12 +1004,11 @@ impl Core {
     /// every slot has completed.
     fn process_me(&mut self, uncore: &mut Uncore) -> bool {
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[ME][i].as_ref() else { continue };
+            let Some(slot) = self.group(ME)[i].as_ref() else { continue };
             if slot.mem_done {
                 continue;
             }
-            let inst = slot.inst();
-            match inst {
+            match slot.inst() {
                 Inst::Load { kind, .. } => {
                     if !self.process_load(uncore, i, kind) {
                         return false;
@@ -943,21 +1024,21 @@ impl Core {
                     if !self.sb.is_empty() {
                         return false;
                     }
-                    self.stages[ME][i].as_mut().expect("slot exists").mem_done = true;
+                    self.slot_mut(ME, i).mem_done = true;
                 }
                 _ => {
-                    self.stages[ME][i].as_mut().expect("slot exists").mem_done = true;
+                    self.slot_mut(ME, i).mem_done = true;
                 }
             }
             if self.halted() {
                 return false;
             }
         }
-        self.stages[ME].iter().flatten().all(|s| s.mem_done)
+        self.group(ME).iter().flatten().all(|s| s.mem_done)
     }
 
     fn process_load(&mut self, uncore: &mut Uncore, i: usize, kind: LoadKind) -> bool {
-        let slot = self.stages[ME][i].as_ref().expect("slot exists");
+        let slot = self.slot(ME, i);
         let (addr, pc) = (slot.eff_addr, slot.pc);
         if slot.fill_issued {
             // Only the fill can complete this load now. Stores enter the
@@ -968,7 +1049,7 @@ impl Core {
                 let space = self.data_space(addr);
                 self.l1d.fill(space.fold(self.l1d.line_base(addr)));
                 let window = uncore.mem.read_dword_window(space, addr);
-                let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                let slot = self.slot_mut(ME, i);
                 slot.result = Some(load_value(kind, window, addr));
                 slot.mem_done = true;
                 return true;
@@ -991,7 +1072,7 @@ impl Core {
         let window = uncore.mem.read_dword_window(space, addr);
         match self.sb.forward(space, addr, size, window) {
             SbForward::Full(w) => {
-                let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                let slot = self.slot_mut(ME, i);
                 slot.result = Some(load_value(kind, w, addr));
                 slot.mem_done = true;
                 true
@@ -1002,8 +1083,9 @@ impl Core {
             }
             SbForward::None => {
                 let key = space.fold(self.l1d.line_base(addr));
-                let slot = self.stages[ME][i].as_mut().expect("slot exists");
-                if self.l1d.lookup(key) {
+                let hit = self.l1d.lookup(key);
+                let slot = self.slot_mut(ME, i);
+                if hit {
                     slot.result = Some(load_value(kind, window, addr));
                     slot.mem_done = true;
                     return true;
@@ -1024,11 +1106,10 @@ impl Core {
         addr: u64,
     ) -> bool {
         let port = self.data_port();
-        let issued = self.stages[ME][i].as_ref().expect("slot exists").apb_issued;
-        if issued {
+        if self.slot(ME, i).apb_issued {
             if let Some(BusResult::ApbData(data)) = uncore.take_done(port) {
                 // APB registers are 64-bit; narrow loads extract their lane.
-                let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                let slot = self.slot_mut(ME, i);
                 slot.result = Some(load_value(kind, data, addr));
                 slot.mem_done = true;
                 return true;
@@ -1038,13 +1119,13 @@ impl Core {
         if uncore.in_flight(port) {
             return false;
         }
-        self.stages[ME][i].as_mut().expect("slot exists").apb_issued = true;
+        self.slot_mut(ME, i).apb_issued = true;
         uncore.request(port, BusOp::ApbRead { addr: addr & !7 });
         false
     }
 
     fn process_store(&mut self, uncore: &mut Uncore, i: usize, kind: StoreKind) -> bool {
-        let slot = self.stages[ME][i].as_ref().expect("slot exists");
+        let slot = self.slot(ME, i);
         let (addr, pc, value) = (slot.eff_addr, slot.pc, slot.rs2_val);
         let size = kind.size();
         if !is_aligned(addr, size) {
@@ -1053,10 +1134,9 @@ impl Core {
         }
         if self.cfg.in_apb(addr, size) {
             let port = self.data_port();
-            let issued = self.stages[ME][i].as_ref().expect("slot exists").apb_issued;
-            if issued {
+            if self.slot(ME, i).apb_issued {
                 if let Some(BusResult::Done) = uncore.take_done(port) {
-                    self.stages[ME][i].as_mut().expect("slot exists").mem_done = true;
+                    self.slot_mut(ME, i).mem_done = true;
                     return true;
                 }
                 return false;
@@ -1064,7 +1144,7 @@ impl Core {
             if uncore.in_flight(port) {
                 return false;
             }
-            self.stages[ME][i].as_mut().expect("slot exists").apb_issued = true;
+            self.slot_mut(ME, i).apb_issued = true;
             uncore.request(port, BusOp::ApbWrite { addr: addr & !7, data: value });
             return false;
         }
@@ -1083,8 +1163,7 @@ impl Core {
             self.stats.sb_full_events += 1;
             return false;
         }
-        let slot = self.stages[ME][i].as_mut().expect("slot exists");
-        slot.mem_done = true;
+        self.slot_mut(ME, i).mem_done = true;
         true
     }
 
@@ -1096,37 +1175,6 @@ impl Core {
             let entry = self.sb.begin_drain();
             uncore.request(self.store_port(), BusOp::WriteLine(Box::new(entry)));
         }
-    }
-
-    // ---- probe -----------------------------------------------------------------------------------
-
-    #[allow(clippy::needless_range_loop)] // stage/slot indices mirror the hardware layout
-    fn build_probe(&mut self, hold: bool, committed: u8) {
-        let mut stages = [[StageSlot::default(); PIPE_WIDTH]; PIPE_STAGES];
-        for s in 0..PIPE_STAGES {
-            for i in 0..PIPE_WIDTH {
-                match self.stages[s][i].as_ref() {
-                    Some(slot) => {
-                        self.stale_raw[s][i] = slot.raw;
-                        stages[s][i] = StageSlot { valid: true, raw: slot.raw };
-                    }
-                    None => {
-                        stages[s][i] = StageSlot { valid: false, raw: self.stale_raw[s][i] };
-                    }
-                }
-            }
-        }
-        let reads: [PortSample; crate::probe::READ_PORTS] = self.regs.read_samples();
-        let writes: [PortSample; crate::probe::WRITE_PORTS] = self.regs.write_samples();
-        self.probe = CoreProbe {
-            cycle: self.csrs.mcycle,
-            hold,
-            stages,
-            reads,
-            writes,
-            committed,
-            halted: self.halted(),
-        };
     }
 }
 
@@ -1229,6 +1277,43 @@ mod tests {
         let any_stale = p.stages.iter().flatten().any(|s| s.raw != 0);
         assert!(any_stale, "stale encodings must persist after squash");
         assert!(p.halted);
+    }
+
+    #[test]
+    fn trap_cycle_latches_show_the_cycle_before() {
+        // A trap flushes the pipeline mid-cycle, after older groups may
+        // already have advanced: none of those moves reaches the latches,
+        // which keep the previous cycle's encodings with every valid bit
+        // clear.
+        for illegal in [false, true] {
+            // Independent pairs of distinct encodings fill the stages
+            // behind the trapping word.
+            let mut a = Asm::new();
+            for i in 0..10 {
+                a.addi(Reg::new(5 + i as u8), Reg::ZERO, i);
+            }
+            if illegal {
+                a.word(0xffff_ffff);
+            } else {
+                a.ld(Reg::A0, 1, Reg::ZERO);
+            }
+            a.ebreak();
+            let cfg = SocConfig { cores: 1, ..SocConfig::default() };
+            let mut soc = MpSoc::new(cfg);
+            soc.load_program(&a.link(0x8000_0000).unwrap());
+            let mut before = *soc.probe(0);
+            while !soc.core(0).halted() {
+                before = *soc.probe(0);
+                soc.step();
+            }
+            assert!(matches!(soc.core(0).exit(), CoreExit::Trap(_)));
+            let after = soc.probe(0);
+            for (s, (b, a)) in before.stages.iter().zip(&after.stages).enumerate() {
+                for (b, a) in b.iter().zip(a) {
+                    assert_eq!((a.valid, a.raw), (false, b.raw), "stage {s}, illegal {illegal}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! In the VHDL integration, SafeDM receives the register-port enables and
 //! values, the per-stage instruction encodings with valid bits, and the
 //! pipeline hold signal (paper, Fig. 4). [`CoreProbe`] is the model's
-//! equivalent of that signal bundle: it is rebuilt every cycle and handed to
+//! equivalent of that signal bundle. The core keeps it current as it steps
+//! (a stage's latches are written where instructions enter or leave it, the
+//! hold, port and commit fields at the end of each cycle) and hands it to
 //! observers **by shared reference only**, so a monitor cannot perturb
 //! execution — the non-intrusiveness claim is enforced by the type system.
 

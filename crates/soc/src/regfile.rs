@@ -26,10 +26,8 @@ use crate::probe::{PortSample, READ_PORTS, WRITE_PORTS};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegFile {
     regs: [u64; 32],
-    read_latch: [u64; READ_PORTS],
-    write_latch: [u64; WRITE_PORTS],
-    read_en: [bool; READ_PORTS],
-    write_en: [bool; WRITE_PORTS],
+    reads: [PortSample; READ_PORTS],
+    writes: [PortSample; WRITE_PORTS],
 }
 
 impl Default for RegFile {
@@ -44,17 +42,16 @@ impl RegFile {
     pub fn new() -> RegFile {
         RegFile {
             regs: [0; 32],
-            read_latch: [0; READ_PORTS],
-            write_latch: [0; WRITE_PORTS],
-            read_en: [false; READ_PORTS],
-            write_en: [false; WRITE_PORTS],
+            reads: [PortSample::default(); READ_PORTS],
+            writes: [PortSample::default(); WRITE_PORTS],
         }
     }
 
     /// Clears the per-cycle port enables (call at the start of each cycle).
     pub fn begin_cycle(&mut self) {
-        self.read_en = [false; READ_PORTS];
-        self.write_en = [false; WRITE_PORTS];
+        for p in self.reads.iter_mut().chain(&mut self.writes) {
+            p.enable = false;
+        }
     }
 
     /// Reads `reg` through read `port`, latching the port value.
@@ -64,8 +61,7 @@ impl RegFile {
     /// Panics if `port >= READ_PORTS`.
     pub fn read(&mut self, port: usize, reg: Reg) -> u64 {
         let v = self.regs[reg.index() as usize];
-        self.read_latch[port] = v;
-        self.read_en[port] = true;
+        self.reads[port] = PortSample { enable: true, value: v };
         v
     }
 
@@ -76,8 +72,7 @@ impl RegFile {
     ///
     /// Panics if `port >= WRITE_PORTS`.
     pub fn write(&mut self, port: usize, reg: Reg, value: u64) {
-        self.write_latch[port] = value;
-        self.write_en[port] = true;
+        self.writes[port] = PortSample { enable: true, value };
         if !reg.is_zero() {
             self.regs[reg.index() as usize] = value;
         }
@@ -112,13 +107,13 @@ impl RegFile {
     /// Current read-port samples (this cycle's enables, latched values).
     #[must_use]
     pub fn read_samples(&self) -> [PortSample; READ_PORTS] {
-        std::array::from_fn(|i| PortSample { enable: self.read_en[i], value: self.read_latch[i] })
+        self.reads
     }
 
     /// Current write-port samples.
     #[must_use]
     pub fn write_samples(&self) -> [PortSample; WRITE_PORTS] {
-        std::array::from_fn(|i| PortSample { enable: self.write_en[i], value: self.write_latch[i] })
+        self.writes
     }
 }
 

@@ -121,6 +121,56 @@ fn guest_program_can_poll_safedm_over_apb() {
 }
 
 #[test]
+fn guest_apb_reads_see_exact_monitor_state() {
+    // Each of 300 iterations folds six SafeDM registers into a0. A load
+    // sees the bank as mirrored at the end of the cycle before its APB
+    // access completes, so the final a0 of each core pins exactly which
+    // monitor state every read observed, in polling and interrupt-first
+    // mode.
+    use safedm::asm::Asm;
+    use safedm::isa::Reg;
+    let prog = |nops: usize| {
+        let mut a = Asm::new();
+        for _ in 0..nops {
+            a.nop();
+        }
+        a.li(Reg::T0, 300);
+        a.li(Reg::A0, 0);
+        a.li(Reg::T1, 0xfc00_0000);
+        let top = a.here("loop");
+        for reg in [
+            regmap::STATUS,
+            regmap::NO_DIV_CYCLES,
+            regmap::CYCLES_OBSERVED,
+            regmap::MAX_NO_DIV_RUN,
+            regmap::DS_MATCH_CYCLES,
+            regmap::HIST_BASE,
+        ] {
+            a.ld(Reg::T2, 8 * reg as i64, Reg::T1);
+            a.slli(Reg::A0, Reg::A0, 5);
+            a.xor(Reg::A0, Reg::A0, Reg::T2);
+        }
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, top);
+        a.ebreak();
+        a.link(0x8000_0000).unwrap()
+    };
+    let soc_cfg = SocConfig { mem_jitter: 2, jitter_seed: 3, ..SocConfig::default() };
+    let cases = [
+        (0, ReportMode::Polling, [0xd8a_86b0_36e0_1ac0, 0xd89_a6b0_361c_9ac0]),
+        (7, ReportMode::InterruptFirst, [0xd3e_ebd8_34cd_af60, 0xd3f_0bd8_3436_2f60]),
+    ];
+    for (nops, report_mode, want) in cases {
+        let dm_cfg = SafeDmConfig { report_mode, ..SafeDmConfig::default() };
+        let mut sys = MonitoredSoc::new(soc_cfg.clone(), dm_cfg);
+        sys.load_program(&prog(nops));
+        assert!(sys.run(10_000_000).run.all_clean());
+        let got = [0, 1].map(|c| sys.soc().core(c).reg(Reg::A0));
+        assert_eq!(got, want, "{nops} nops, {report_mode:?}");
+    }
+}
+
+#[test]
 fn text_assembled_program_runs_under_the_monitor() {
     // The text front end, the SoC and the monitor compose end to end.
     let prog = safedm::asm::assemble(

@@ -1,7 +1,8 @@
 //! Golden-file pinning of the Table I artefacts (the rendered text table
 //! and the JSON document, for the legacy (paper-protocol) seed mode on two
-//! small kernels), of the monitor's full counter state, and of what the
-//! per-cycle observers of a monitored run produce.
+//! small kernels), of the monitor's full counter state, of what the
+//! per-cycle observers of a monitored run produce, and of every record of
+//! a stage-latch fault campaign.
 //!
 //! These fixtures freeze the *bytes* a release tarball would ship — any
 //! formatting drift, row reordering, or numeric change in the simulated
@@ -12,6 +13,7 @@ use std::path::PathBuf;
 
 use safedm::analysis::{analyze, AnalysisConfig};
 use safedm::asm::{Asm, Program};
+use safedm::faults::{Campaign, CampaignConfig};
 use safedm::isa::Reg;
 use safedm::monitor::{
     regs, IsLayout, MonitoredSoc, ObsConfig, ReportMode, RunObserver, SafeDmConfig, TraceSample,
@@ -244,4 +246,26 @@ fn observers_match_golden() {
         trace_digest(&trace)
     );
     check_golden("observers.txt", &text);
+}
+
+/// Every record of the default (stage-latch) common-cause campaign on two
+/// kernels: each fault flips a `(stage, slot)` result latch, so the
+/// records pin where the pipeline holds each instruction, cycle by cycle.
+#[test]
+fn stage_latch_campaign_matches_golden() {
+    let cfg =
+        CampaignConfig { trials: 16, seed: 2024, max_cycle: 8_000, ..CampaignConfig::default() };
+    let lines: Vec<String> = std::thread::scope(|s| {
+        let runs: Vec<_> = ["fac", "bitcount"]
+            .into_iter()
+            .map(|name| {
+                s.spawn(move || {
+                    let stats = Campaign::new(cfg).run(kernels::by_name(name).expect("kernel"));
+                    stats.records.iter().map(|r| format!("{name}: {r:?}\n")).collect::<String>()
+                })
+            })
+            .collect();
+        runs.into_iter().map(|h| h.join().expect("campaign thread")).collect()
+    });
+    check_golden("stage_latch_campaign.txt", &lines.concat());
 }
