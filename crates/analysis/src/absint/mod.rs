@@ -50,6 +50,17 @@
 //! instead of refuted at the call. Without summaries
 //! ([`AbsInt::compute`]), every call fall-through conservatively havocs the
 //! whole state.
+//!
+//! ## Findings
+//!
+//! [`prove`] emits every single-program finding, all from the facts above:
+//! DIV001 from the iteration-invariant branch of a loop certificate (the
+//! period is the re-alignment period `lcm(ds_period, is_period)`), DIV002
+//! from the identical-word sleds found in one pass over the points, DIV003
+//! from a loop's data-independent committed stream in the delta domain,
+//! DIV004 from checking DIV001/DIV002 against the effective stagger, and
+//! DIV005–DIV008 from the verdicts and certificates. The
+//! [`AnalysisConfig::levels`] overrides apply once, to the whole list.
 
 pub mod congruence;
 pub mod interval;
@@ -62,7 +73,7 @@ use safedm_isa::csr::addr::MHARTID;
 use safedm_isa::{abs_transfer, call_return_transfer, AbsValue, AluKind, Inst, Reg};
 
 use crate::cfg::{Cfg, DecodedProgram, NaturalLoop};
-use crate::dataflow::{invariant_mask, ConstProp, LoopTraffic, Taint};
+use crate::dataflow::{invariant_mask, ConstProp};
 use crate::diag::{Diagnostic, LintCode, PcSpan, Severity};
 use crate::summary::{CallEffect, Interproc};
 use crate::AnalysisConfig;
@@ -355,15 +366,28 @@ fn apply_call_return(st: &mut AbsState, eff: &CallEffect) {
 
 /// Three-valued diversity verdict for a program point at the configured
 /// staggering.
+///
+/// Both proved verdicts carry a precondition a monitored run can observe,
+/// and [`crate::SoundnessGuard`] checks each claim on exactly the cycles
+/// that meet it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// At least one no-diversity cycle is guaranteed while both cores
-    /// execute this region (existential claim, cross-validated like the
-    /// DIV001/DIV002 gate).
+    /// Existential claim: at least one no-diversity cycle among the
+    /// monitored cycles in which both cores' last commits lie inside the
+    /// region at the stream lead the verdict assumes. The stream lead is
+    /// how many instructions of the shared stream core 0 has committed
+    /// ahead of core 1 (the effective stagger plus the monitor's
+    /// committed-instruction stagger); a lockstep claim assumes a lead of
+    /// 0, an iteration-invariant loop any lead ≡ 0 modulo its re-alignment
+    /// period. The claim does not always hold: at stagger 0 four lockstep
+    /// loop regions of `filterbank` meet the precondition (in 26 to 426
+    /// cycles each) without a single no-diversity cycle, so the guard
+    /// reports such regions and fails a run only for a DIV001/DIV002 one.
     ProvedCollision,
-    /// No no-diversity cycle can be observed while both cores are warmed up
-    /// inside this region (universal claim, machine-checked by the
-    /// soundness harness).
+    /// Universal claim: no no-diversity cycle once both cores' last commits
+    /// have stayed inside the region for `2 * fifo_depth` consecutive
+    /// monitored cycles (both signature FIFOs then hold only in-region
+    /// traffic); machine-checked by the soundness harness.
     ProvedDiverse,
     /// Neither direction is proved.
     Unknown,
@@ -406,9 +430,31 @@ pub struct LoopCertificate {
     pub witness: Option<String>,
     /// The verdict at the configured staggering.
     pub verdict: Verdict,
+    /// The committed stream (spliced callees included) reads no load or
+    /// CSR value and every read is provably delta-zero: both cores compute
+    /// identical register traffic, whatever the stagger.
+    pub data_independent: bool,
 }
 
 impl LoopCertificate {
+    /// Every PC one iteration's committed stream can occupy: the loop span
+    /// plus each spliced callee-body span. A run-time check of the verdict
+    /// must watch the whole union.
+    #[must_use]
+    pub(crate) fn region(&self) -> Vec<PcSpan> {
+        let mut region = vec![self.span];
+        region.extend(self.callee_spans.iter().copied());
+        region
+    }
+
+    /// The re-alignment period `lcm(ds_period, is_period)` of an
+    /// iteration-invariant loop: any stream lead that is a multiple of it
+    /// re-aligns identical signature windows. `None` for other loops.
+    #[must_use]
+    pub(crate) fn realign_period(&self) -> Option<u64> {
+        self.ds_period.map(|ds| lcm(ds, self.is_period.unwrap_or(ds)))
+    }
+
     /// One-line rendering used by reports and golden summaries.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -440,6 +486,22 @@ impl LoopCertificate {
     }
 }
 
+/// A straight-line run of at least `pipeline_slots` identical decodable
+/// instruction words (DIV002): below its minimum safe stagger both
+/// pipelines hold only its opcode.
+#[derive(Debug, Clone)]
+pub struct Sled {
+    /// The run of identical words.
+    pub span: PcSpan,
+    /// The repeated instruction.
+    pub inst: Inst,
+    /// Smallest stagger (committed instructions) clearing the collision:
+    /// `len - pipeline_slots + 1`.
+    pub min_safe_stagger: u64,
+    /// `ProvedCollision` when every point of the sled is, else `Unknown`.
+    pub verdict: Verdict,
+}
+
 /// Everything the prover learned about one program at one configuration.
 #[derive(Debug, Clone)]
 pub struct ProveReport {
@@ -447,7 +509,10 @@ pub struct ProveReport {
     pub points: Vec<Verdict>,
     /// Per-natural-loop certificates, in `Cfg::loops` order.
     pub certificates: Vec<LoopCertificate>,
-    /// DIV005–DIV008 findings.
+    /// Identical-instruction sleds, in address order.
+    pub sleds: Vec<Sled>,
+    /// DIV001–DIV008 findings, sorted by address then code, with the
+    /// [`AnalysisConfig::levels`] overrides applied.
     pub diagnostics: Vec<Diagnostic>,
     /// The effective inter-core committed-instruction delta the verdicts are
     /// for (configured nops plus the harness phase correction).
@@ -459,56 +524,6 @@ impl ProveReport {
     #[must_use]
     pub fn count(&self, v: Verdict) -> usize {
         self.points.iter().filter(|p| **p == v).count()
-    }
-
-    /// Loop spans carrying a `ProvedDiverse` verdict — the regions the
-    /// soundness harness watches for (forbidden) no-diversity cycles.
-    #[must_use]
-    pub fn diverse_spans(&self) -> Vec<PcSpan> {
-        self.certificates
-            .iter()
-            .filter(|c| c.verdict == Verdict::ProvedDiverse)
-            .map(|c| c.span)
-            .collect()
-    }
-
-    /// Loop spans carrying a `ProvedCollision` verdict — regions where at
-    /// least one no-diversity cycle must be observed when executed.
-    #[must_use]
-    pub fn collision_spans(&self) -> Vec<PcSpan> {
-        self.certificates
-            .iter()
-            .filter(|c| c.verdict == Verdict::ProvedCollision)
-            .map(|c| c.span)
-            .collect()
-    }
-
-    /// Per-certificate `ProvedDiverse` regions: the loop span plus every
-    /// spliced callee-body span. A dynamic monitor of a certificate must
-    /// watch the whole union — one iteration's committed PCs alternate
-    /// between the loop and its composable callees.
-    #[must_use]
-    pub fn diverse_regions(&self) -> Vec<Vec<PcSpan>> {
-        self.regions(Verdict::ProvedDiverse)
-    }
-
-    /// Per-certificate `ProvedCollision` regions (loop plus spliced callee
-    /// spans), mirroring [`ProveReport::diverse_regions`].
-    #[must_use]
-    pub fn collision_regions(&self) -> Vec<Vec<PcSpan>> {
-        self.regions(Verdict::ProvedCollision)
-    }
-
-    fn regions(&self, v: Verdict) -> Vec<Vec<PcSpan>> {
-        self.certificates
-            .iter()
-            .filter(|c| c.verdict == v)
-            .map(|c| {
-                let mut region = vec![c.span];
-                region.extend(c.callee_spans.iter().copied());
-                region
-            })
-            .collect()
     }
 
     /// The one-line machine-comparable summary used by the golden test.
@@ -573,17 +588,16 @@ pub fn effective_stagger(config: &AnalysisConfig) -> i64 {
 /// Runs the abstract-interpretation prover on a decoded program.
 #[must_use]
 pub fn prove(prog: &DecodedProgram, cfg: &Cfg, config: &AnalysisConfig) -> ProveReport {
-    let taint = Taint::compute(prog, cfg);
     let constprop = ConstProp::compute(prog, cfg);
     let ipo = Interproc::compute(prog, cfg, &constprop);
     let absint = AbsInt::compute_with_summaries(prog, cfg, Some(&ipo));
     let s_eff = effective_stagger(config);
 
-    let mut certificates = Vec::new();
-    for lp in &cfg.loops {
-        let traffic = LoopTraffic::analyze(prog, cfg, lp, &taint, &constprop);
-        certificates.push(certify_loop(prog, cfg, lp, &traffic, &absint, &ipo, config, s_eff));
-    }
+    let certificates: Vec<LoopCertificate> = cfg
+        .loops
+        .iter()
+        .map(|lp| certify_loop(prog, cfg, lp, &absint, &ipo, config, s_eff))
+        .collect();
 
     // Per-point verdicts: points inside a loop inherit the innermost
     // (smallest) enclosing loop's verdict; straight-line points are proved
@@ -608,8 +622,43 @@ pub fn prove(prog: &DecodedProgram, cfg: &Cfg, config: &AnalysisConfig) -> Prove
         }
     }
 
-    let diagnostics = prove_lints(prog, cfg, config, &certificates, s_eff);
-    ProveReport { points, certificates, diagnostics, effective_stagger: s_eff }
+    let sleds = find_sleds(prog, cfg, config, &points);
+    let diagnostics = config.levels.apply(prove_lints(config, &certificates, &sleds, s_eff));
+    ProveReport { points, certificates, sleds, diagnostics, effective_stagger: s_eff }
+}
+
+/// Finds the identical-instruction sleds: per basic block, every maximal
+/// run of identical decodable words at least `pipeline_slots` long. The
+/// rule adds no point verdict; a sled is `ProvedCollision` exactly when the
+/// lockstep rule already marked all of its points.
+fn find_sleds(
+    prog: &DecodedProgram,
+    cfg: &Cfg,
+    config: &AnalysisConfig,
+    points: &[Verdict],
+) -> Vec<Sled> {
+    let mut sleds = Vec::new();
+    for b in &cfg.blocks {
+        let mut i = b.start;
+        while i < b.end {
+            let run = (i..b.end)
+                .take_while(|&j| {
+                    prog.slots[j].inst.is_some() && prog.slots[j].raw == prog.slots[i].raw
+                })
+                .count();
+            if let Some(inst) = prog.slots[i].inst.filter(|_| run >= config.pipeline_slots) {
+                let collide = points[i..i + run].iter().all(|&v| v == Verdict::ProvedCollision);
+                sleds.push(Sled {
+                    span: PcSpan { start: prog.pc_of(i), end: prog.pc_of(i + run) },
+                    inst,
+                    min_safe_stagger: (run - config.pipeline_slots + 1) as u64,
+                    verdict: if collide { Verdict::ProvedCollision } else { Verdict::Unknown },
+                });
+            }
+            i += run.max(1);
+        }
+    }
+    sleds
 }
 
 /// Marks straight-line lockstep points: with an effective delta of 0, any
@@ -803,12 +852,10 @@ fn injective_read_flags(prog: &DecodedProgram, body: &[usize], defined: u32) -> 
 }
 
 /// Builds the certificate and configured-stagger verdict for one loop.
-#[allow(clippy::too_many_arguments)]
 fn certify_loop(
     prog: &DecodedProgram,
     cfg: &Cfg,
     lp: &NaturalLoop,
-    traffic: &LoopTraffic,
     absint: &AbsInt,
     ipo: &Interproc,
     config: &AnalysisConfig,
@@ -829,17 +876,18 @@ fn certify_loop(
         min_safe_stagger: None,
         witness: None,
         verdict: Verdict::Unknown,
+        data_independent: false,
     };
 
     // Lockstep collision applies to any loop shape: with effective delta 0
     // and every read provably equal across cores, the windows coincide.
     // Both collision arguments presuppose the cores committing the *same*
     // stream, which a twin pair (pair_mode) does not.
-    let lockstep =
-        s_eff == 0 && !config.pair_mode && loop_reads_delta_zero(prog, cfg, lp, absint, ipo);
+    let reads_equal = loop_reads_delta_zero(prog, cfg, lp, absint, ipo);
+    cert.data_independent = reads_equal && stream_reads_no_input(prog, cfg, lp, ipo);
+    let lockstep = s_eff == 0 && !config.pair_mode && reads_equal;
 
-    let body = if traffic.deterministic_body { body_sequence(cfg, lp) } else { None };
-    let Some(body) = body else {
+    let Some(body) = body_sequence(cfg, lp) else {
         cert.witness = Some("irregular control flow: the body is not a single path".into());
         if lockstep {
             cert.verdict = Verdict::ProvedCollision;
@@ -878,7 +926,7 @@ fn certify_loop(
     cert.is_period = Some(rotation_period(&body_insts, |a, b| a == b));
 
     // Body facts over the spliced stream — callee defs, loads and CSR reads
-    // included, unlike the block-level [`LoopTraffic`] facts.
+    // included.
     let defined = body_insts.iter().map(Inst::def_mask).fold(0, |a, m| a | m);
     let has_load = body_insts.iter().any(Inst::is_load);
     let has_csr = body_insts.iter().any(|i| matches!(i, Inst::Csr { .. } | Inst::CsrImm { .. }));
@@ -1037,6 +1085,31 @@ fn loop_reads_delta_zero(
     true
 }
 
+/// Whether a loop's committed stream reads no load or CSR value: no load
+/// or CSR instruction in its blocks, and every call inside it goes to a
+/// composable callee whose spliced body has none either (any other callee's
+/// stream is unknown).
+fn stream_reads_no_input(
+    prog: &DecodedProgram,
+    cfg: &Cfg,
+    lp: &NaturalLoop,
+    ipo: &Interproc,
+) -> bool {
+    let no_input =
+        |inst: &Inst| !inst.is_load() && !matches!(inst, Inst::Csr { .. } | Inst::CsrImm { .. });
+    lp.blocks.iter().flat_map(|&b| cfg.blocks[b].start..cfg.blocks[b].end).all(|i| {
+        match prog.slots[i].inst {
+            None => true,
+            Some(Inst::Jal { rd, .. } | Inst::Jalr { rd, .. }) if !rd.is_zero() => {
+                ipo.summary_for_slot(i).and_then(|f| f.body.as_ref()).is_some_and(|body| {
+                    body.iter().all(|&c| prog.slots[c].inst.is_some_and(|x| no_input(&x)))
+                })
+            }
+            Some(inst) => no_input(&inst),
+        }
+    })
+}
+
 /// Whether every read of the exact committed body stream (spliced callee
 /// instructions included) is provably delta-zero with the memory mirror
 /// intact, by sequential walk from the loop-header fixpoint state. Spliced
@@ -1155,18 +1228,70 @@ fn read_tags(
     tags
 }
 
-/// DIV005–DIV008 generation from the certificates.
+/// DIV001–DIV008 generation from the certificates and sleds, sorted by
+/// address then code (the severity overrides apply afterwards).
 fn prove_lints(
-    prog: &DecodedProgram,
-    cfg: &Cfg,
     config: &AnalysisConfig,
     certs: &[LoopCertificate],
+    sleds: &[Sled],
     s_eff: i64,
 ) -> Vec<Diagnostic> {
-    let _ = (prog, cfg);
     let mut diags = Vec::new();
     let stagger_known = config.stagger_nops.is_some();
+    // DIV004 compares DIV001/DIV002 with one shared stream's effective
+    // stagger: a twin pair runs two different streams, so it does not apply.
+    let cross_check = config.stagger_nops.filter(|_| !config.pair_mode);
     for c in certs {
+        // DIV001: iteration-invariant traffic repeats with the re-alignment
+        // period, a code-shape fact independent of the stagger.
+        if let Some(period) = c.realign_period() {
+            diags.push(div001(config, c.span, period));
+            if let Some(nops) = cross_check.filter(|_| s_eff.rem_euclid(period as i64) == 0) {
+                diags.push(Diagnostic {
+                    code: LintCode::Div004,
+                    severity: Severity::Error,
+                    span: c.span,
+                    message: format!(
+                        "configured stagger of {nops} nops (effective delta {s_eff}) \
+                         is a multiple of this loop's {period}-instruction traffic period"
+                    ),
+                    notes: vec![format!(
+                        "note: the periodic traffic re-aligns exactly, reproducing the \
+                         stagger-0 data-signature collision; see DIV001 at {}",
+                        c.span
+                    )],
+                    period: Some(period),
+                    min_safe_stagger: None,
+                });
+            }
+        }
+
+        // DIV003: identical traffic on both cores that neither DIV001 nor
+        // DIV005 already reports; only the stagger separates the cores. A
+        // twin pair's cores run different streams, so it does not apply.
+        if c.data_independent
+            && c.ds_period.is_none()
+            && c.verdict != Verdict::ProvedCollision
+            && !config.pair_mode
+        {
+            diags.push(Diagnostic {
+                code: LintCode::Div003,
+                severity: Severity::Warning,
+                span: c.span,
+                message: "data-independent loop: both cores compute identical register traffic"
+                    .into(),
+                notes: vec![
+                    "note: the committed stream reads no load or CSR value and every read is \
+                     provably equal across the cores, so redundant cores compute identical \
+                     register traffic"
+                        .into(),
+                    "note: diversity inside this loop relies on staggering alone".into(),
+                ],
+                period: None,
+                min_safe_stagger: c.min_safe_stagger,
+            });
+        }
+
         match c.verdict {
             Verdict::ProvedCollision => {
                 let realign = lcm(
@@ -1283,8 +1408,93 @@ fn prove_lints(
             });
         }
     }
+    for sled in sleds {
+        diags.push(div002(config, sled));
+        if let Some(nops) = cross_check.filter(|_| s_eff < sled.min_safe_stagger as i64) {
+            let min_safe = sled.min_safe_stagger;
+            diags.push(Diagnostic {
+                code: LintCode::Div004,
+                severity: Severity::Error,
+                span: sled.span,
+                message: format!(
+                    "configured stagger of {nops} nops (effective delta {s_eff}) \
+                     is below this sled's minimum safe stagger of {min_safe}"
+                ),
+                notes: vec![format!(
+                    "note: both pipelines sit fully inside the sled at the same \
+                     time; see DIV002 at {}",
+                    sled.span
+                )],
+                period: None,
+                min_safe_stagger: Some(min_safe),
+            });
+        }
+    }
     diags.sort_by_key(|d| (d.span.start, d.code));
     diags
+}
+
+/// The DIV001 finding of an iteration-invariant loop with re-alignment
+/// period `period`: an error when the period fits the signature FIFO.
+fn div001(config: &AnalysisConfig, span: PcSpan, period: u64) -> Diagnostic {
+    let fits = period <= config.fifo_depth as u64;
+    let mut notes = vec![format!(
+        "note: guaranteed data-signature collision between cores staggered by any multiple \
+         of {period} committed instructions (including 0)"
+    )];
+    if fits {
+        notes.push(format!(
+            "note: the period fits inside the {}-cycle signature FIFO, so the collision \
+             persists every cycle of the loop",
+            config.fifo_depth
+        ));
+    }
+    notes.push(format!(
+        "help: stagger the cores by an amount that is not a multiple of {period}, or introduce \
+         core-specific state (e.g. an mhartid-derived value) into the loop"
+    ));
+    Diagnostic {
+        code: LintCode::Div001,
+        severity: if fits { Severity::Error } else { Severity::Warning },
+        span,
+        message: format!(
+            "cycle-periodic loop: register-port traffic repeats every {period} instructions"
+        ),
+        notes,
+        period: Some(period),
+        min_safe_stagger: None,
+    }
+}
+
+/// The DIV002 finding of one sled.
+fn div002(config: &AnalysisConfig, sled: &Sled) -> Diagnostic {
+    let (len, inst, min_safe) = (sled.span.insts(), sled.inst, sled.min_safe_stagger);
+    let mut notes = vec![
+        format!(
+            "note: {len} consecutive `{inst}` fill all {} pipeline slots of both cores with \
+             identical opcodes when their stagger is below {min_safe} committed instructions",
+            config.pipeline_slots
+        ),
+        "note: guaranteed instruction-signature collision in that window".into(),
+    ];
+    if inst.is_nop() {
+        notes.push(
+            "note: nops also read and write only x0, so the data signatures collide as well".into(),
+        );
+    }
+    notes.push(format!(
+        "help: stagger the cores by at least {min_safe} committed instructions, or diversify \
+         the sled (e.g. alternate addi/ori encodings)"
+    ));
+    Diagnostic {
+        code: LintCode::Div002,
+        severity: Severity::Error,
+        span: sled.span,
+        message: format!("identical-instruction sled: {len} x `{inst}`"),
+        notes,
+        period: None,
+        min_safe_stagger: Some(min_safe),
+    }
 }
 
 #[cfg(test)]
@@ -1379,7 +1589,6 @@ mod tests {
         let (_, r) = proved(countdown, &cfg);
         let c = &r.certificates[0];
         assert_eq!(c.verdict, Verdict::ProvedDiverse, "{c:?}");
-        assert!(!r.diverse_spans().is_empty());
         assert!(r.count(Verdict::ProvedDiverse) >= 2);
     }
 
@@ -1411,7 +1620,7 @@ mod tests {
         // The callee body sits outside the loop span but inside the region
         // the harness must guard.
         assert!(!c.span.contains(leaf.start));
-        let region = &r.diverse_regions()[0];
+        let region = c.region();
         assert!(region.iter().any(|s| s.contains(leaf.start)));
         assert!(region.iter().any(|s| s.contains(c.header_pc)));
         assert!(c.summary().contains("spliced-callees="), "{}", c.summary());
@@ -1646,6 +1855,225 @@ mod tests {
         );
         let c = &r.certificates[0];
         assert_ne!(c.verdict, Verdict::ProvedCollision, "{c:?}");
+    }
+
+    /// The findings of `prove` on the program `f` assembles.
+    fn findings(config: &AnalysisConfig, f: impl FnOnce(&mut Asm)) -> Vec<Diagnostic> {
+        proved(f, config).1.diagnostics
+    }
+
+    fn codes(diags: &[Diagnostic]) -> Vec<LintCode> {
+        diags.iter().map(|d| d.code).collect()
+    }
+
+    fn idle(a: &mut Asm) {
+        let l = a.new_label("l");
+        a.bind(l).unwrap();
+        a.nop();
+        a.j(l);
+    }
+
+    fn counted(a: &mut Asm) {
+        a.li(Reg::T0, 100);
+        let l = a.new_label("l");
+        a.bind(l).unwrap();
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, l);
+        a.ebreak();
+    }
+
+    /// A stagger at which the counted loop is proved diverse, not a
+    /// lockstep DIV005: the DIV003 cases run there.
+    fn staggered() -> AnalysisConfig {
+        AnalysisConfig { stagger_nops: Some(5), ..AnalysisConfig::default() }
+    }
+
+    #[test]
+    fn severity_overrides_rewrite_and_drop_findings() {
+        use crate::diag::{Level, LintLevels};
+
+        // Baseline: DIV001 fires as an error.
+        let d = findings(&AnalysisConfig::default(), idle);
+        assert!(d.iter().any(|x| x.code == LintCode::Div001 && x.severity == Severity::Error));
+
+        // --warn DIV001 downgrades, --allow DIV001 drops.
+        let mut levels = LintLevels::default();
+        levels.set(LintCode::Div001, Level::Warn);
+        let d = findings(&AnalysisConfig { levels, ..AnalysisConfig::default() }, idle);
+        assert!(d.iter().any(|x| x.code == LintCode::Div001 && x.severity == Severity::Warning));
+
+        let mut levels = LintLevels::default();
+        levels.set(LintCode::Div001, Level::Allow);
+        let d = findings(&AnalysisConfig { levels, ..AnalysisConfig::default() }, idle);
+        assert!(!codes(&d).contains(&LintCode::Div001), "{d:?}");
+
+        // --deny DIV003 upgrades the warning-by-default lint.
+        let mut levels = LintLevels::default();
+        levels.set(LintCode::Div003, Level::Deny);
+        let d = findings(&AnalysisConfig { levels, ..staggered() }, counted);
+        assert!(d.iter().any(|x| x.code == LintCode::Div003 && x.severity == Severity::Error));
+    }
+
+    #[test]
+    fn div001_fires_on_idle_loop() {
+        let d = findings(&AnalysisConfig::default(), idle);
+        let div1 = d.iter().find(|x| x.code == LintCode::Div001).expect("DIV001");
+        assert_eq!(div1.period, Some(2));
+        assert_eq!(div1.severity, Severity::Error);
+    }
+
+    #[test]
+    fn div001_not_fired_on_counted_loop() {
+        // A counter makes the write-port traffic vary per iteration ...
+        let d = findings(&staggered(), counted);
+        assert!(!codes(&d).contains(&LintCode::Div001), "{d:?}");
+        // ... but DIV003 fires: the traffic is data-independent.
+        assert!(codes(&d).contains(&LintCode::Div003), "{d:?}");
+        // At stagger 0 the lockstep DIV005 reports the loop instead.
+        let d = findings(&AnalysisConfig::default(), counted);
+        assert!(codes(&d).contains(&LintCode::Div005), "{d:?}");
+        assert!(!codes(&d).contains(&LintCode::Div003), "{d:?}");
+    }
+
+    #[test]
+    fn div003_not_fired_when_loop_reads_loaded_data() {
+        let d = findings(&staggered(), |a| {
+            a.li(Reg::A0, 0x8010_0000);
+            let l = a.new_label("l");
+            a.bind(l).unwrap();
+            a.lw(Reg::T0, 0, Reg::A0);
+            a.bnez(Reg::T0, l);
+            a.ebreak();
+        });
+        assert!(!codes(&d).contains(&LintCode::Div003), "{d:?}");
+        assert!(!codes(&d).contains(&LintCode::Div001), "{d:?}");
+    }
+
+    #[test]
+    fn div003_not_fired_when_loop_reads_hartid() {
+        let d = findings(&staggered(), |a| {
+            a.hartid(Reg::T0);
+            let l = a.new_label("l");
+            a.bind(l).unwrap();
+            a.addi(Reg::T1, Reg::T0, 1);
+            a.bnez(Reg::T1, l);
+            a.ebreak();
+        });
+        assert!(!codes(&d).contains(&LintCode::Div003), "{d:?}");
+    }
+
+    #[test]
+    fn div002_fires_on_nop_sled() {
+        let cfg = AnalysisConfig::default();
+        let (_, r) = proved(
+            |a| {
+                a.nops(40);
+                a.ebreak();
+            },
+            &cfg,
+        );
+        let sled = r.diagnostics.iter().find(|x| x.code == LintCode::Div002).expect("DIV002");
+        assert_eq!(sled.span.insts(), 40);
+        assert_eq!(sled.min_safe_stagger, Some((40 - cfg.pipeline_slots + 1) as u64));
+        assert_eq!(sled.min_safe_stagger, Some(27));
+        // The lockstep rule already proves the sled's points colliding.
+        assert_eq!(r.sleds[0].verdict, Verdict::ProvedCollision);
+    }
+
+    #[test]
+    fn div002_ignores_short_sleds() {
+        let cfg = AnalysisConfig::default();
+        let d = findings(&cfg, |a| {
+            a.nops(cfg.pipeline_slots - 1);
+            a.ebreak();
+        });
+        assert!(!codes(&d).contains(&LintCode::Div002), "{d:?}");
+    }
+
+    #[test]
+    fn div004_flags_stagger_multiple_of_period() {
+        // 4 is a multiple of the 2-instruction period.
+        let cfg = AnalysisConfig { stagger_nops: Some(4), ..AnalysisConfig::default() };
+        assert!(codes(&findings(&cfg, idle)).contains(&LintCode::Div004));
+        // 5 is not: safe.
+        let cfg = AnalysisConfig { stagger_nops: Some(5), ..AnalysisConfig::default() };
+        assert!(!codes(&findings(&cfg, idle)).contains(&LintCode::Div004));
+    }
+
+    #[test]
+    fn pair_mode_suppresses_div004_residue_path() {
+        // A twin pair at stagger 0 (or any stagger) runs different binaries;
+        // the DIV004 residue argument presupposes one shared stream and must
+        // not fire in pair mode. DIV001 itself (a per-copy code-shape fact)
+        // still does.
+        for nops in [0u64, 4] {
+            let cfg = AnalysisConfig {
+                stagger_nops: Some(nops),
+                pair_mode: true,
+                ..AnalysisConfig::default()
+            };
+            let d = findings(&cfg, idle);
+            assert!(!codes(&d).contains(&LintCode::Div004), "nops={nops}: {d:?}");
+            assert!(codes(&d).contains(&LintCode::Div001), "nops={nops}: {d:?}");
+        }
+    }
+
+    #[test]
+    fn div004_respects_the_stagger_phase() {
+        // A configured stagger that is a multiple of the loop period *plus a
+        // nonzero phase* lands in a different residue class and must not be
+        // flagged. With the harness phase of -1, 4 nops give an effective
+        // delta of 3 (safe against a period of 2) while 5 nops give 4 (a
+        // true re-alignment).
+        let phased = |nops| AnalysisConfig {
+            stagger_nops: Some(nops),
+            stagger_phase: -1,
+            ..AnalysisConfig::default()
+        };
+        assert!(!codes(&findings(&phased(4), idle)).contains(&LintCode::Div004));
+        let d = findings(&phased(5), idle);
+        let div4 = d.iter().find(|x| x.code == LintCode::Div004).expect("DIV004");
+        assert!(div4.message.contains("effective delta 4"), "{}", div4.message);
+    }
+
+    #[test]
+    fn div004_flags_stagger_below_sled_minimum() {
+        let cfg = AnalysisConfig { stagger_nops: Some(3), ..AnalysisConfig::default() };
+        let d = findings(&cfg, |a| {
+            a.nops(40);
+            a.ebreak();
+        });
+        assert!(codes(&d).contains(&LintCode::Div004), "{d:?}");
+    }
+
+    #[test]
+    fn sled_into_an_idle_loop_renders_both_hazards() {
+        let (p, r) = proved(
+            |a| {
+                a.nops(20);
+                let l = a.new_label("l");
+                a.bind(l).unwrap();
+                a.j(l);
+            },
+            &AnalysisConfig::default(),
+        );
+        let d = &r.diagnostics;
+        assert_eq!(d.iter().find(|x| x.code == LintCode::Div001).unwrap().period, Some(1));
+        let sled = d.iter().find(|x| x.code == LintCode::Div002).unwrap();
+        assert_eq!(sled.min_safe_stagger, Some(7));
+        let text = r.render(&p, 6);
+        assert!(text.contains("error[DIV001]") && text.contains("error[DIV002]"), "{text}");
+    }
+
+    #[test]
+    fn clean_program_has_no_guaranteed_hazards() {
+        let d = findings(&AnalysisConfig::default(), |a| {
+            a.li(Reg::A0, 0x8010_0000);
+            a.lw(Reg::T0, 0, Reg::A0);
+            a.addi(Reg::T0, Reg::T0, 1);
+            a.ebreak();
+        });
+        assert!(!codes(&d).iter().any(|c| matches!(c, LintCode::Div001 | LintCode::Div002)));
     }
 
     #[test]

@@ -1,136 +1,12 @@
-//! Classic forward/backward dataflow passes over the [`Cfg`], plus the
-//! loop-traffic classification that feeds the diversity lints.
+//! Constant propagation over the [`Cfg`], and the iteration-invariance
+//! fixpoint the prover runs over loop bodies.
 //!
-//! All passes use 32-bit register masks (bit *i* = `x{i}`); `x0` never
-//! appears in a mask since it is architecturally constant.
+//! Register masks are 32 bits wide (bit *i* = `x{i}`, see [`Reg::bit`]);
+//! `x0` never appears in a mask since it is architecturally constant.
 
-use safedm_isa::{alu, branch_taken, Inst, Reg};
+use safedm_isa::{alu, Inst, Reg};
 
-use crate::cfg::{Cfg, DecodedProgram, NaturalLoop};
-
-/// Bit for a register in a 32-bit mask, with `x0` mapped to no bits.
-///
-/// Thin wrapper over [`Reg::bit`] — the mask convention is owned by
-/// `safedm-isa` so the analyzer and the pipeline's hazard logic share one
-/// definition of operand extraction.
-#[must_use]
-pub fn reg_bit(r: Reg) -> u32 {
-    r.bit()
-}
-
-/// Mask of registers read by an instruction (see [`Inst::use_mask`]).
-#[must_use]
-pub fn use_mask(inst: &Inst) -> u32 {
-    inst.use_mask()
-}
-
-/// Mask of registers written by an instruction (see [`Inst::def_mask`]).
-#[must_use]
-pub fn def_mask(inst: &Inst) -> u32 {
-    inst.def_mask()
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions
-// ---------------------------------------------------------------------------
-
-/// Reaching-definitions solution: which instruction slots' register writes
-/// may reach each basic block.
-///
-/// Definitions are identified by slot index; the bitsets are `u64` words.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    words: usize,
-    /// Per-block set of slot indices whose defs reach the block entry.
-    pub block_in: Vec<Vec<u64>>,
-    /// Per-block set of slot indices whose defs reach the block exit.
-    pub block_out: Vec<Vec<u64>>,
-}
-
-fn bit_get(set: &[u64], i: usize) -> bool {
-    set[i / 64] & (1 << (i % 64)) != 0
-}
-
-fn bit_set(set: &mut [u64], i: usize) {
-    set[i / 64] |= 1 << (i % 64);
-}
-
-impl ReachingDefs {
-    /// Solves reaching definitions with the standard union/worklist scheme.
-    #[must_use]
-    pub fn compute(prog: &DecodedProgram, cfg: &Cfg) -> ReachingDefs {
-        let n = prog.slots.len();
-        let words = n.div_ceil(64);
-        let nb = cfg.blocks.len();
-
-        // gen/kill per block.
-        let mut gen: Vec<Vec<u64>> = vec![vec![0; words]; nb];
-        let mut kill: Vec<Vec<u64>> = vec![vec![0; words]; nb];
-        // All defs of each register, for kill sets.
-        let mut defs_of: [Vec<usize>; 32] = Default::default();
-        for (i, slot) in prog.slots.iter().enumerate() {
-            if let Some(inst) = slot.inst {
-                if let Some(rd) = inst.rd() {
-                    defs_of[rd.index() as usize].push(i);
-                }
-            }
-        }
-        for b in &cfg.blocks {
-            for i in b.start..b.end {
-                let Some(inst) = prog.slots[i].inst else { continue };
-                let Some(rd) = inst.rd() else { continue };
-                for &d in &defs_of[rd.index() as usize] {
-                    if d != i {
-                        bit_set(&mut kill[b.id], d);
-                    }
-                }
-                // This def survives to the block end unless a later def of
-                // the same register kills it; rebuild gen last-writer-wins.
-                for &d in &defs_of[rd.index() as usize] {
-                    if d >= b.start && d < b.end && d < i {
-                        gen[b.id][d / 64] &= !(1 << (d % 64));
-                    }
-                }
-                bit_set(&mut gen[b.id], i);
-            }
-        }
-
-        let mut block_in = vec![vec![0u64; words]; nb];
-        let mut block_out = vec![vec![0u64; words]; nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in &cfg.blocks {
-                let mut inset = vec![0u64; words];
-                for &p in &b.preds {
-                    for (w, &v) in inset.iter_mut().zip(&block_out[p]) {
-                        *w |= v;
-                    }
-                }
-                let mut outset: Vec<u64> = inset
-                    .iter()
-                    .zip(&kill[b.id])
-                    .zip(&gen[b.id])
-                    .map(|((&i, &k), &g)| (i & !k) | g)
-                    .collect();
-                if inset != block_in[b.id] || outset != block_out[b.id] {
-                    changed = true;
-                    block_in[b.id] = std::mem::take(&mut inset);
-                    block_out[b.id] = std::mem::take(&mut outset);
-                }
-            }
-        }
-        ReachingDefs { words, block_in, block_out }
-    }
-
-    /// Whether the definition made at slot `def` may reach the entry of
-    /// `block`.
-    #[must_use]
-    pub fn reaches(&self, block: usize, def: usize) -> bool {
-        debug_assert!(def / 64 < self.words);
-        bit_get(&self.block_in[block], def)
-    }
-}
+use crate::cfg::{Cfg, DecodedProgram};
 
 // ---------------------------------------------------------------------------
 // Constant propagation
@@ -243,266 +119,11 @@ impl ConstProp {
         }
         ConstProp { block_in }
     }
-
-    /// Abstract state at the entry of `block`, restricted to predecessors
-    /// outside `exclude` (used to see a loop's *pre-header* state without the
-    /// back edge's contribution).
-    #[must_use]
-    pub fn entry_excluding(
-        &self,
-        prog: &DecodedProgram,
-        cfg: &Cfg,
-        block: usize,
-        exclude: &std::collections::BTreeSet<usize>,
-    ) -> ConstState {
-        let mut merged = [ConstVal::Undef; 32];
-        for &p in &cfg.blocks[block].preds {
-            if exclude.contains(&p) {
-                continue;
-            }
-            let mut state = self.block_in[p];
-            for i in cfg.blocks[p].start..cfg.blocks[p].end {
-                if let Some(inst) = prog.slots[i].inst {
-                    const_transfer(&mut state, prog.slots[i].pc, &inst);
-                }
-            }
-            for (m, v) in merged.iter_mut().zip(state.iter()) {
-                *m = m.meet(*v);
-            }
-        }
-        if cfg.entry_block == Some(block)
-            && cfg.blocks[block].preds.iter().all(|p| exclude.contains(p))
-        {
-            merged = [ConstVal::Const(0); 32];
-        }
-        merged
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Liveness
+// Iteration invariance
 // ---------------------------------------------------------------------------
-
-/// Backward register-liveness solution.
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Registers live at each block entry.
-    pub live_in: Vec<u32>,
-    /// Registers live at each block exit.
-    pub live_out: Vec<u32>,
-}
-
-impl Liveness {
-    /// Solves liveness with the standard backward union scheme.
-    #[must_use]
-    pub fn compute(prog: &DecodedProgram, cfg: &Cfg) -> Liveness {
-        let nb = cfg.blocks.len();
-        let mut gen = vec![0u32; nb]; // upward-exposed uses
-        let mut kill = vec![0u32; nb];
-        for b in &cfg.blocks {
-            for i in b.start..b.end {
-                let Some(inst) = prog.slots[i].inst else { continue };
-                gen[b.id] |= use_mask(&inst) & !kill[b.id];
-                kill[b.id] |= def_mask(&inst);
-            }
-        }
-        let mut live_in = vec![0u32; nb];
-        let mut live_out = vec![0u32; nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in cfg.blocks.iter().rev() {
-                let out = b.succs.iter().fold(0u32, |acc, &s| acc | live_in[s]);
-                let inn = gen[b.id] | (out & !kill[b.id]);
-                if out != live_out[b.id] || inn != live_in[b.id] {
-                    live_out[b.id] = out;
-                    live_in[b.id] = inn;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Input taint
-// ---------------------------------------------------------------------------
-
-/// Forward taint analysis: which registers may hold *input-derived* data —
-/// values read from memory or from a CSR (notably `mhartid`, the one
-/// architectural value that differs between redundant cores).
-#[derive(Debug, Clone)]
-pub struct Taint {
-    /// Tainted registers at each block entry.
-    pub block_in: Vec<u32>,
-    /// Tainted registers at each block exit.
-    pub block_out: Vec<u32>,
-}
-
-/// Applies one instruction to a taint mask.
-#[must_use]
-pub fn taint_transfer(state: u32, inst: &Inst) -> u32 {
-    let Some(rd) = inst.rd() else { return state };
-    let bit = reg_bit(rd);
-    match inst {
-        Inst::Load { .. } | Inst::Csr { .. } | Inst::CsrImm { .. } => state | bit,
-        // Link writes hold a PC, never input data.
-        Inst::Jal { .. } | Inst::Jalr { .. } => state & !bit,
-        _ => {
-            if use_mask(inst) & state != 0 {
-                state | bit
-            } else {
-                state & !bit
-            }
-        }
-    }
-}
-
-impl Taint {
-    /// Solves the taint equations to a fixpoint.
-    #[must_use]
-    pub fn compute(prog: &DecodedProgram, cfg: &Cfg) -> Taint {
-        let nb = cfg.blocks.len();
-        let mut block_in = vec![0u32; nb];
-        let mut block_out = vec![0u32; nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in &cfg.blocks {
-                let inn = b.preds.iter().fold(0u32, |acc, &p| acc | block_out[p]);
-                let mut state = inn;
-                for i in b.start..b.end {
-                    if let Some(inst) = prog.slots[i].inst {
-                        state = taint_transfer(state, &inst);
-                    }
-                }
-                if inn != block_in[b.id] || state != block_out[b.id] {
-                    block_in[b.id] = inn;
-                    block_out[b.id] = state;
-                    changed = true;
-                }
-            }
-        }
-        Taint { block_in, block_out }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Loop-traffic classification
-// ---------------------------------------------------------------------------
-
-/// Static facts about the register-port traffic of one natural loop,
-/// combining the dataflow passes into the inputs the diversity lints need.
-#[derive(Debug, Clone)]
-pub struct LoopTraffic {
-    /// Whether the loop body is a single deterministic instruction cycle
-    /// (every block has exactly one in-loop successor), i.e. the
-    /// per-iteration instruction stream is the same each time around.
-    pub deterministic_body: bool,
-    /// Instructions per iteration when the body is deterministic.
-    pub period: Option<u64>,
-    /// Registers written anywhere in the body.
-    pub defined: u32,
-    /// Registers read anywhere in the body.
-    pub reads: u32,
-    /// Written registers whose value may differ from one iteration to the
-    /// next (loop-carried updates, loads, CSR reads).
-    pub varying: u32,
-    /// Whether the body contains a load.
-    pub has_load: bool,
-    /// Whether the body contains a store.
-    pub has_store: bool,
-    /// Whether the body reads a CSR.
-    pub has_csr: bool,
-    /// Whether any register read in the body may be input-derived (per the
-    /// [`Taint`] pass).
-    pub tainted_read: bool,
-    /// Registers read in the body that are compile-time constants at the
-    /// loop header (per [`ConstProp`]).
-    pub const_reads: u32,
-    /// Estimated trip count for simple counted loops, when derivable.
-    pub trip_count: Option<u64>,
-}
-
-impl LoopTraffic {
-    /// Classifies a natural loop using the given dataflow solutions.
-    #[must_use]
-    pub fn analyze(
-        prog: &DecodedProgram,
-        cfg: &Cfg,
-        lp: &NaturalLoop,
-        taint: &Taint,
-        constprop: &ConstProp,
-    ) -> LoopTraffic {
-        let mut defined = 0u32;
-        let mut reads = 0u32;
-        let mut has_load = false;
-        let mut has_store = false;
-        let mut has_csr = false;
-        let mut tainted_read = false;
-
-        for &bid in &lp.blocks {
-            let b = &cfg.blocks[bid];
-            let mut taint_state = taint.block_in[bid];
-            for i in b.start..b.end {
-                let Some(inst) = prog.slots[i].inst else { continue };
-                defined |= def_mask(&inst);
-                reads |= use_mask(&inst);
-                has_load |= inst.is_load();
-                has_store |= inst.is_store();
-                has_csr |= matches!(inst, Inst::Csr { .. } | Inst::CsrImm { .. });
-                if use_mask(&inst) & taint_state != 0 {
-                    tainted_read = true;
-                }
-                taint_state = taint_transfer(taint_state, &inst);
-            }
-        }
-
-        // Deterministic body: every block has exactly one successor inside
-        // the loop (the header's other successor exits).
-        let deterministic_body = lp.blocks.iter().all(|&bid| {
-            cfg.blocks[bid].succs.iter().filter(|s| lp.blocks.contains(s)).count() == 1
-        });
-        let period = deterministic_body.then_some(lp.insts as u64);
-
-        // Iteration-invariant written registers: see [`invariant_mask`].
-        let body_insts: Vec<Inst> = lp
-            .blocks
-            .iter()
-            .flat_map(|&bid| {
-                let b = &cfg.blocks[bid];
-                (b.start..b.end).filter_map(|i| prog.slots[i].inst)
-            })
-            .collect();
-        let invariant = invariant_mask(&body_insts, defined);
-        let varying = defined & !invariant;
-
-        let header_in = constprop.block_in[lp.header];
-        let mut const_reads = 0u32;
-        for r in 1..32u32 {
-            if reads & (1 << r) != 0 && header_in[r as usize].as_const().is_some() {
-                const_reads |= 1 << r;
-            }
-        }
-
-        let trip_count = estimate_trip_count(prog, cfg, lp, constprop);
-
-        LoopTraffic {
-            deterministic_body,
-            period,
-            defined,
-            reads,
-            varying,
-            has_load,
-            has_store,
-            has_csr,
-            tainted_read,
-            const_reads,
-            trip_count,
-        }
-    }
-}
 
 /// Iteration-invariant written registers of a repeated instruction sequence:
 /// pessimistic fixpoint — a register is invariant when every def of it in
@@ -520,10 +141,10 @@ pub fn invariant_mask(insts: &[Inst], defined: u32) -> u32 {
             if defined & bit == 0 || invariant & bit != 0 {
                 continue;
             }
-            let ok = insts.iter().filter(|inst| def_mask(inst) == bit).all(|inst| {
+            let ok = insts.iter().filter(|inst| inst.def_mask() == bit).all(|inst| {
                 let pure =
                     !matches!(inst, Inst::Load { .. } | Inst::Csr { .. } | Inst::CsrImm { .. });
-                pure && use_mask(inst) & defined & !invariant == 0
+                pure && inst.use_mask() & defined & !invariant == 0
             });
             if ok {
                 invariant |= bit;
@@ -535,74 +156,6 @@ pub fn invariant_mask(insts: &[Inst], defined: u32) -> u32 {
         }
     }
     invariant
-}
-
-/// Estimates the trip count of a simple counted loop: a latch branch whose
-/// counter has exactly one in-loop def `addi counter, counter, step` and a
-/// constant pre-header value, against a constant (or `x0`) bound.
-fn estimate_trip_count(
-    prog: &DecodedProgram,
-    cfg: &Cfg,
-    lp: &NaturalLoop,
-    constprop: &ConstProp,
-) -> Option<u64> {
-    const CAP: u64 = 1 << 20;
-    let &[latch] = lp.latches.as_slice() else { return None };
-    let last = cfg.blocks[latch].end - 1;
-    let Inst::Branch { kind, rs1, rs2, offset } = prog.slots[last].inst? else { return None };
-    // The back edge must be the taken direction.
-    let header_pc = prog.pc_of(cfg.blocks[lp.header].start);
-    if prog.slots[last].pc.wrapping_add(offset as u64) != header_pc {
-        return None;
-    }
-
-    // Exactly one in-loop def of the counter, of the form addi c, c, step.
-    let find_step = |r: safedm_isa::Reg| -> Option<i64> {
-        let mut step = None;
-        for &bid in &lp.blocks {
-            let b = &cfg.blocks[bid];
-            for i in b.start..b.end {
-                let inst = prog.slots[i].inst?;
-                if inst.rd() == Some(r) {
-                    match inst {
-                        Inst::OpImm { kind: safedm_isa::AluKind::Add, rd, rs1, imm }
-                            if rd == r && rs1 == r && step.is_none() =>
-                        {
-                            step = Some(imm);
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-        }
-        step
-    };
-
-    let pre = constprop.entry_excluding(prog, cfg, lp.header, &lp.blocks);
-    let const_of = |r: safedm_isa::Reg| -> Option<u64> {
-        if r.is_zero() {
-            Some(0)
-        } else {
-            pre[r.index() as usize].as_const()
-        }
-    };
-
-    // One operand is the counter, the other a loop-constant.
-    let (counter, step, other) = match (find_step(rs1), find_step(rs2)) {
-        (Some(s), None) => (rs1, s, const_of(rs2)?),
-        (None, Some(s)) => (rs2, s, const_of(rs1)?),
-        _ => return None,
-    };
-    let mut v = const_of(counter)?;
-
-    for trips in 1..=CAP {
-        v = v.wrapping_add(step as u64);
-        let (a, b) = if counter == rs1 { (v, other) } else { (other, v) };
-        if !branch_taken(kind, a, b) {
-            return Some(trips);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -638,87 +191,26 @@ mod tests {
     }
 
     #[test]
-    fn taint_flows_from_loads_and_csrs() {
-        let (p, c) = build(|a| {
-            a.hartid(Reg::T0); // csr read -> tainted
-            a.addi(Reg::T1, Reg::T0, 1); // propagates
-            a.li(Reg::T2, 7); // clean
-            a.ebreak();
-        });
-        let t = Taint::compute(&p, &c);
-        let last = c.blocks.len() - 1;
-        assert_ne!(t.block_out[last] & reg_bit(Reg::T0), 0);
-        assert_ne!(t.block_out[last] & reg_bit(Reg::T1), 0);
-        assert_eq!(t.block_out[last] & reg_bit(Reg::T2), 0);
-    }
-
-    #[test]
-    fn liveness_sees_loop_carried_counter() {
+    fn invariant_mask_separates_constant_writes_from_counters() {
         let (p, c) = build(|a| {
             a.li(Reg::T0, 4);
             let l = a.new_label("l");
             a.bind(l).unwrap();
+            a.li(Reg::T1, 7);
             a.addi(Reg::T0, Reg::T0, -1);
             a.bnez(Reg::T0, l);
             a.ebreak();
         });
-        let lv = Liveness::compute(&p, &c);
         let lp = &c.loops[0];
-        assert_ne!(lv.live_in[lp.header] & reg_bit(Reg::T0), 0);
-    }
-
-    #[test]
-    fn reaching_defs_cross_back_edge() {
-        let (p, c) = build(|a| {
-            a.li(Reg::T0, 4);
-            let l = a.new_label("l");
-            a.bind(l).unwrap();
-            a.addi(Reg::T0, Reg::T0, -1);
-            a.bnez(Reg::T0, l);
-            a.ebreak();
-        });
-        let rd = ReachingDefs::compute(&p, &c);
-        let lp = &c.loops[0];
-        let header = &c.blocks[lp.header];
-        // The in-loop addi def reaches the header back around the loop.
-        let addi_slot = header.start;
-        assert!(rd.reaches(lp.header, addi_slot));
-    }
-
-    #[test]
-    fn counted_loop_classification() {
-        let (p, c) = build(|a| {
-            a.li(Reg::T0, 4);
-            let l = a.new_label("l");
-            a.bind(l).unwrap();
-            a.addi(Reg::T0, Reg::T0, -1);
-            a.bnez(Reg::T0, l);
-            a.ebreak();
-        });
-        let taint = Taint::compute(&p, &c);
-        let cp = ConstProp::compute(&p, &c);
-        let t = LoopTraffic::analyze(&p, &c, &c.loops[0], &taint, &cp);
-        assert!(t.deterministic_body);
-        assert_eq!(t.period, Some(2));
-        assert_ne!(t.varying & reg_bit(Reg::T0), 0, "counter is loop-carried");
-        assert!(!t.has_load && !t.has_csr);
-        assert!(!t.tainted_read);
-        assert_eq!(t.trip_count, Some(4));
-    }
-
-    #[test]
-    fn idle_loop_has_no_varying_regs() {
-        let (p, c) = build(|a| {
-            let l = a.new_label("l");
-            a.bind(l).unwrap();
-            a.nop();
-            a.j(l);
-        });
-        let taint = Taint::compute(&p, &c);
-        let cp = ConstProp::compute(&p, &c);
-        let t = LoopTraffic::analyze(&p, &c, &c.loops[0], &taint, &cp);
-        assert!(t.deterministic_body);
-        assert_eq!(t.varying, 0);
-        assert_eq!(t.period, Some(2));
+        let body: Vec<Inst> = lp
+            .blocks
+            .iter()
+            .flat_map(|&b| c.blocks[b].start..c.blocks[b].end)
+            .filter_map(|i| p.slots[i].inst)
+            .collect();
+        let defined = body.iter().fold(0, |m, i| m | i.def_mask());
+        let invariant = invariant_mask(&body, defined);
+        assert_ne!(invariant & Reg::T1.bit(), 0, "a constant write repeats every iteration");
+        assert_eq!(invariant & Reg::T0.bit(), 0, "the counter is loop-carried");
     }
 }

@@ -15,7 +15,8 @@ pub enum LintCode {
     /// the same opcodes, guaranteeing an instruction-signature collision for
     /// small staggering.
     Div002,
-    /// Data-independent loop: no input-derived value reaches the body, so
+    /// Data-independent loop: the committed stream reads no load or CSR
+    /// value and every read is provably equal across the cores, so
     /// redundant cores compute identical register traffic and diversity
     /// relies on staggering alone.
     Div003,
@@ -130,19 +131,7 @@ impl LintCode {
 
 impl fmt::Display for LintCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LintCode::Div001 => "DIV001",
-            LintCode::Div002 => "DIV002",
-            LintCode::Div003 => "DIV003",
-            LintCode::Div004 => "DIV004",
-            LintCode::Div005 => "DIV005",
-            LintCode::Div006 => "DIV006",
-            LintCode::Div007 => "DIV007",
-            LintCode::Div008 => "DIV008",
-            LintCode::Div009 => "DIV009",
-            LintCode::Div010 => "DIV010",
-        };
-        f.write_str(s)
+        f.write_str(self.id())
     }
 }
 

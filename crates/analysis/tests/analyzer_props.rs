@@ -1,12 +1,12 @@
-//! Property tests: the analyzer never panics on any program the assembler
-//! can produce, its CFG partitions the decoded text into well-formed blocks
-//! whose edges land on decoded instruction boundaries, and diagnostics stay
-//! inside the text section.
+//! Property tests: the analyzer and the prover never panic on any program
+//! the assembler can produce, the CFG partitions the decoded text into
+//! well-formed blocks whose edges land on decoded instruction boundaries,
+//! and the prover's findings stay inside the text section.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use safedm_analysis::{analyze, AnalysisConfig, Cfg, DecodedProgram};
+use safedm_analysis::{analyze, prove, AnalysisConfig, Cfg, DecodedProgram, Diagnostic};
 use safedm_asm::{Asm, Label, Program};
 use safedm_isa::Reg;
 
@@ -87,32 +87,41 @@ fn check_cfg(prog: &DecodedProgram, cfg: &Cfg) {
     }
 }
 
+/// Every finding lies inside the text section on instruction boundaries,
+/// and renders.
+fn check_findings(prog: &Program, decoded: &DecodedProgram, diags: &[Diagnostic]) {
+    for d in diags {
+        assert!(d.span.start >= prog.text_base);
+        assert!(d.span.end <= prog.text_base + prog.text.len() as u64);
+        assert!(d.span.start % 4 == 0 && d.span.end % 4 == 0);
+        assert!(d.span.insts() >= 1);
+        let _ = d.render(decoded, 6);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Structured random programs: analysis completes and all invariants
-    /// hold, with and without a configured stagger.
+    /// Structured random programs: analysis and proof complete and all
+    /// invariants hold, with and without a configured stagger.
     fn analyzer_handles_assembled_programs(
         ops in vec((0u8..8, 0u8..32, 0u8..32, -64i64..64), 1..120),
         stagger in 0u64..64,
     ) {
         let prog = build_program(&ops);
-        let report = analyze(&prog, &AnalysisConfig::default());
-        check_cfg(&report.program, &report.cfg);
-        for d in &report.diagnostics {
-            prop_assert!(d.span.start >= prog.text_base);
-            prop_assert!(d.span.end <= prog.text_base + prog.text.len() as u64);
-            prop_assert!(d.span.start % 4 == 0 && d.span.end % 4 == 0);
-            prop_assert!(d.span.insts() >= 1);
-            // Rendering never panics either.
-            let _ = d.render(&report.program, 6);
+        for cfg in [
+            AnalysisConfig::default(),
+            AnalysisConfig { stagger_nops: Some(stagger), ..AnalysisConfig::default() },
+        ] {
+            let report = analyze(&prog, &cfg);
+            check_cfg(&report.program, &report.cfg);
+            let proof = prove(&report.program, &report.cfg, &cfg);
+            check_findings(&prog, &report.program, &proof.diagnostics);
         }
-        let cfg = AnalysisConfig { stagger_nops: Some(stagger), ..AnalysisConfig::default() };
-        let _ = analyze(&prog, &cfg);
     }
 
     /// Raw-word fuzz: arbitrary (mostly undecodable) text sections never
-    /// panic the decoder, CFG builder, or lints.
+    /// panic the decoder, CFG builder, prover or renderer.
     fn analyzer_handles_arbitrary_words(words in vec(any::<u32>(), 0..256)) {
         let mut a = Asm::new();
         for &w in &words {
@@ -121,6 +130,8 @@ proptest! {
         let prog = a.link(0x8000_0000).unwrap();
         let report = analyze(&prog, &AnalysisConfig::default());
         check_cfg(&report.program, &report.cfg);
-        let _ = report.render();
+        let proof = prove(&report.program, &report.cfg, &report.config);
+        check_findings(&prog, &report.program, &proof.diagnostics);
+        let _ = proof.render(&report.program, 6);
     }
 }

@@ -1,16 +1,20 @@
 //! Soundness harness for the abstract-interpretation diversity prover:
 //! runs every TACLe kernel (plus synthetic programs that actually earn
 //! `ProvedDiverse` certificates) across a stagger grid under the *dynamic*
-//! SafeDM monitor, and fails if the monitor ever observes a no-diversity
-//! cycle inside a region the prover marked `ProvedDiverse`.
+//! SafeDM monitor, with the prover's `SoundnessGuard` checking both halves
+//! of its verdicts.
 //!
-//! The check is warmup-gated: a no-diversity verdict only counts against a
-//! `ProvedDiverse` region (the loop span plus any spliced callee-body
-//! spans) once both cores' last-committed PCs have stayed inside that same
-//! region for at least `2 * data_fifo_depth` consecutive observed cycles,
-//! so both signature FIFOs contain only in-region traffic.
-//! `ProvedCollision` claims are existential (a collision *exists* at some
-//! alignment), so they are confirmed informationally, never failed.
+//! The diverse half is warmup-gated: a no-diversity verdict only counts
+//! against a `ProvedDiverse` region (the loop span plus any spliced
+//! callee-body spans) once both cores' last-committed PCs have stayed
+//! inside that same region for at least `2 * data_fifo_depth` consecutive
+//! observed cycles, so both signature FIFOs contain only in-region traffic.
+//! The collision half counts, per `ProvedCollision` region, the cycles that
+//! meet the verdict's precondition (both cores' last commits in the region
+//! at the assumed stream lead): each row reports the regions met, confirmed
+//! by a no-diversity cycle, and unconfirmed. The run fails on a diverse-half
+//! violation or on an unconfirmed DIV001/DIV002 region; other unconfirmed
+//! regions are listed.
 //!
 //! Cells run on the `safedm-campaign` pool with ordered collection:
 //! stdout is byte-identical for any `--jobs N`.
@@ -22,15 +26,14 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use safedm_analysis::{analyze, prove, AnalysisConfig, PcSpan};
+use safedm_analysis::{analyze, prove, AnalysisConfig, ProveReport, SoundnessGuard};
 use safedm_asm::{Asm, Program};
 use safedm_bench::args;
-use safedm_bench::experiments::{run_cells_with_telemetry, SoundnessGuard, Telemetry};
+use safedm_bench::experiments::{run_cells_with_telemetry, run_guarded, Telemetry};
 use safedm_campaign::ConfigGrid;
-use safedm_core::{MonitoredSoc, SafeDmConfig};
+use safedm_core::SafeDmConfig;
 use safedm_isa::Reg;
 use safedm_obs::events::CellEvent;
-use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, kernels, HarnessConfig, Kernel, StaggerConfig};
 
 /// One program under test: a TACLe kernel or a synthetic diverse-by-proof
@@ -147,15 +150,10 @@ fn synth_memcpy(stagger: Option<StaggerConfig>) -> Program {
     a.link(0x8000_0000).unwrap()
 }
 
-/// Everything precomputed for one (target, stagger) setup. Regions are
-/// per-certificate span unions (loop plus spliced callee bodies), so
-/// interprocedural certificates stay guarded while a core's PC sits inside
-/// a composable callee.
+/// Everything precomputed for one (target, stagger) setup.
 struct Setup {
     prog: Arc<Program>,
-    diverse: Vec<Vec<PcSpan>>,
-    collision: Vec<Vec<PcSpan>>,
-    effective: i64,
+    proof: ProveReport,
     golden: Option<u64>,
 }
 
@@ -164,33 +162,14 @@ struct CellOut {
     cycles: u64,
     observed: u64,
     no_div: u64,
-    guarded: u64,
-    violations: Vec<(u64, u64, u64)>,
-    collision_nodiv: u64,
+    guard: SoundnessGuard,
     timed_out: bool,
     checksum_ok: bool,
 }
 
 fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
-    let dm_cfg = SafeDmConfig::default();
-    let mut sys = MonitoredSoc::new(SocConfig::default(), dm_cfg);
-    sys.load_program(&setup.prog);
-
-    let mut guard = SoundnessGuard::new(&dm_cfg);
-    let mut collision_nodiv = 0u64;
-    sys.run_with(max_cycles, |sys, rep| {
-        let pcs = (sys.soc().core(0).last_commit_pc(), sys.soc().core(1).last_commit_pc());
-        let both_in = |regions: &[Vec<PcSpan>]| match pcs {
-            (Some(p0), Some(p1)) => regions
-                .iter()
-                .position(|r| r.iter().any(|s| s.contains(p0)) && r.iter().any(|s| s.contains(p1))),
-            _ => None,
-        };
-        guard.observe(sys, rep, both_in(&setup.diverse));
-        if rep.observed && rep.no_diversity && both_in(&setup.collision).is_some() {
-            collision_nodiv += 1;
-        }
-    });
+    let mut guard = SoundnessGuard::new(&setup.proof, SafeDmConfig::default().data_fifo_depth);
+    let sys = run_guarded(&setup.prog, &mut guard, max_cycles);
     let timed_out = !sys.soc().all_halted();
     let checksum_ok = match setup.golden {
         Some(golden) => !timed_out && (0..2).all(|c| sys.soc().core(c).reg(Reg::A0) == golden),
@@ -201,9 +180,7 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
         cycles: sys.soc().cycle(),
         observed: counters.cycles_observed,
         no_div: counters.no_div_cycles,
-        guarded: guard.guarded,
-        violations: guard.violations,
-        collision_nodiv,
+        guard,
         timed_out,
         checksum_ok,
     }
@@ -258,13 +235,7 @@ fn main() -> ExitCode {
                 Target::Tacle(k) => Some((k.reference)()),
                 Target::Synth(_) => None,
             };
-            Setup {
-                prog: Arc::new(prog),
-                diverse: proof.diverse_regions(),
-                collision: proof.collision_regions(),
-                effective: proof.effective_stagger,
-                golden,
-            }
+            Setup { prog: Arc::new(prog), proof, golden }
         })
         .collect();
 
@@ -292,18 +263,18 @@ fn main() -> ExitCode {
             run: 0,
             seed: cell.seed,
             cycles: r.cycles,
-            guarded: r.guarded,
+            guarded: r.guard.guarded,
             zero_stag: 0,
             no_div: r.no_div,
             episodes: 0,
-            violations: r.violations.len() as u64,
-            ok: r.checksum_ok && !r.timed_out && r.violations.is_empty(),
+            violations: r.guard.violations.len() as u64,
+            ok: r.checksum_ok && !r.timed_out && r.guard.passed(),
             wall_us: None,
         },
     );
 
     println!(
-        "{:<16} {:>7} {:>8} {:>10} {:>10} {:>8} {:>8} {:>9} {:>10} {:>6}",
+        "{:<16} {:>7} {:>8} {:>10} {:>10} {:>8} {:>8} {:>4} {:>5} {:>7} {:>10} {:>6}",
         "target",
         "nops",
         "eff",
@@ -311,33 +282,42 @@ fn main() -> ExitCode {
         "observed",
         "no-div",
         "guarded",
-        "col-hits",
+        "met",
+        "conf",
+        "unconf",
         "violations",
         "check"
     );
     let mut total_violations = 0usize;
     let mut total_guarded = 0u64;
     let mut bad_runs = 0usize;
+    let (mut total_met, mut total_unconfirmed, mut refuted) = (0usize, 0usize, 0usize);
     for (cell, r) in cells.iter().zip(&results) {
-        total_violations += r.violations.len();
-        total_guarded += r.guarded;
+        let g = &r.guard;
+        let (met, confirmed, unconfirmed) = g.collision_counts();
+        total_violations += g.violations.len();
+        total_guarded += g.guarded;
+        total_met += met;
+        total_unconfirmed += unconfirmed;
         if !r.checksum_ok || r.timed_out {
             bad_runs += 1;
         }
         println!(
-            "{:<16} {:>7} {:>8} {:>10} {:>10} {:>8} {:>8} {:>9} {:>10} {:>6}",
+            "{:<16} {:>7} {:>8} {:>10} {:>10} {:>8} {:>8} {:>4} {:>5} {:>7} {:>10} {:>6}",
             cell.kernel.name(),
             cell.stagger,
-            setups[cell.index].effective,
+            setups[cell.index].proof.effective_stagger,
             r.cycles,
             r.observed,
             r.no_div,
-            r.guarded,
-            r.collision_nodiv,
-            r.violations.len(),
+            g.guarded,
+            met,
+            confirmed,
+            unconfirmed,
+            g.violations.len(),
             if r.checksum_ok { "ok" } else { "FAIL" }
         );
-        for &(cycle, p0, p1) in r.violations.iter().take(5) {
+        for &(cycle, p0, p1) in g.violations.iter().take(5) {
             println!(
                 "  VIOLATION {} nops={}: no-diversity cycle {cycle} inside ProvedDiverse \
                  region (pc0={p0:#x}, pc1={p1:#x})",
@@ -345,10 +325,27 @@ fn main() -> ExitCode {
                 cell.stagger
             );
         }
+        for c in g.collisions().iter().filter(|c| c.met() && !c.confirmed()) {
+            refuted += usize::from(c.refuted());
+            println!(
+                "  {} {} nops={}: {} {} met its precondition in {} cycles without a \
+                 no-diversity cycle",
+                if c.refuted() { "REFUTED" } else { "unconfirmed" },
+                cell.kernel.name(),
+                cell.stagger,
+                c.code,
+                c.spans[0],
+                c.met_cycles
+            );
+        }
     }
 
     println!();
-    if total_violations == 0 && bad_runs == 0 {
+    println!(
+        "collision half: {total_met} regions met their precondition, {total_unconfirmed} \
+         without a no-diversity cycle ({refuted} of them DIV001/DIV002)"
+    );
+    if total_violations == 0 && bad_runs == 0 && refuted == 0 {
         println!(
             "PROVE-SOUNDNESS: PASS ({} cells, {} warmup-gated cycles guarded, 0 violations)",
             cells.len(),
@@ -357,8 +354,8 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!(
-            "PROVE-SOUNDNESS: FAIL ({total_violations} violations, {bad_runs} bad runs across {} \
-             cells)",
+            "PROVE-SOUNDNESS: FAIL ({total_violations} violations, {refuted} refuted collision \
+             regions, {bad_runs} bad runs across {} cells)",
             cells.len()
         );
         ExitCode::FAILURE

@@ -7,13 +7,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use safedm_analysis::{AnalysisReport, DiversityGate};
+use safedm_analysis::SoundnessGuard;
 use safedm_asm::Asm;
 use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_campaign::{derive_cell_seed, par_map_timed_observed, Progress};
-use safedm_core::{
-    regs, CycleReport, IsLayout, MonitoredRun, MonitoredSoc, ReportMode, SafeDmConfig,
-};
+use safedm_core::{regs, IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
 use safedm_isa::Reg;
 use safedm_obs::events::{CellEvent, Timing};
 use safedm_obs::{MetricsRegistry, MetricsSnapshot};
@@ -210,26 +208,26 @@ pub fn run_cell(
     }
 }
 
-/// Runs `prog` at stagger 0 under the default monitor with a
-/// [`DiversityGate`] armed from `report` (the analysis of `prog`), and
-/// returns the run and the gate's cross-validation counters.
-#[must_use]
-pub fn run_gated(
+/// Runs `prog` (at the stagger built into its image) under the default
+/// monitor, feeding `guard` every cycle, and returns the system for its
+/// counters and final state.
+pub fn run_guarded(
     prog: &safedm_asm::Program,
-    report: AnalysisReport,
+    guard: &mut SoundnessGuard,
     max_cycles: u64,
-) -> (MonitoredRun, DiversityGate) {
-    let mut gate = DiversityGate::new(report);
+) -> MonitoredSoc {
     let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
     sys.load_program(prog);
-    let out = sys.run_with(max_cycles, |sys, r| {
-        gate.observe(sys.soc().core(0).last_commit_pc(), r.observed, r.no_diversity);
+    sys.run_with(max_cycles, |sys, r| {
+        let pc = |c: usize| sys.soc().core(c).last_commit_pc();
+        let stagger = sys.monitor().instruction_diff().value();
+        guard.observe(sys.soc().cycle(), [pc(0), pc(1)], stagger, r.observed, r.no_diversity);
     });
-    (out, gate)
+    sys
 }
 
-/// Synthetic programs that must trip the guaranteed lints (DIV001/DIV002),
-/// for the gate's cross-validation.
+/// Synthetic programs that trip DIV001/DIV002 at stagger 0: the soundness
+/// guard's collision half must confirm those regions under the monitor.
 #[must_use]
 pub fn gate_hazards() -> Vec<(&'static str, safedm_asm::Program)> {
     let mut out = Vec::new();
@@ -264,54 +262,6 @@ pub fn gate_hazards() -> Vec<(&'static str, safedm_asm::Program)> {
     out.push(("sled_between_loads", a.link(0x8000_0000).unwrap()));
 
     out
-}
-
-/// The warmup-gated soundness check of `ProvedDiverse` claims against the
-/// monitor. A no-diversity verdict counts as a violation only once both
-/// cores' last-committed PCs have stayed inside the same proved region for
-/// `2 * data_fifo_depth` consecutive observed cycles, so both signature
-/// FIFOs hold only in-region traffic.
-#[derive(Debug, Clone)]
-pub struct SoundnessGuard {
-    warmup: u64,
-    streak: u64,
-    region: Option<usize>,
-    /// Cycles past the warmup inside one region (the cycles checked).
-    pub guarded: u64,
-    /// `(cycle, pc0, pc1)` of every no-diversity cycle among them.
-    pub violations: Vec<(u64, u64, u64)>,
-}
-
-impl SoundnessGuard {
-    /// A guard for a monitor configured as `dm_cfg`.
-    #[must_use]
-    pub fn new(dm_cfg: &SafeDmConfig) -> SoundnessGuard {
-        SoundnessGuard {
-            warmup: 2 * dm_cfg.data_fifo_depth as u64,
-            streak: 0,
-            region: None,
-            guarded: 0,
-            violations: Vec::new(),
-        }
-    }
-
-    /// Feeds the cycle `sys` just stepped: `report` is its verdict and
-    /// `region` the index of the proved region holding both cores' last
-    /// commits, if any.
-    pub fn observe(&mut self, sys: &MonitoredSoc, report: &CycleReport, region: Option<usize>) {
-        match (report.observed, region) {
-            (true, Some(r)) if self.region == Some(r) => self.streak += 1,
-            (true, Some(r)) => (self.region, self.streak) = (Some(r), 1),
-            _ => (self.region, self.streak) = (None, 0),
-        }
-        if self.streak >= self.warmup {
-            self.guarded += 1;
-            if report.no_diversity {
-                let pc = |c: usize| sys.soc().core(c).last_commit_pc().unwrap_or(0);
-                self.violations.push((sys.soc().cycle(), pc(0), pc(1)));
-            }
-        }
-    }
 }
 
 /// One Table I cell: maxima across the runs of one staggering setup.

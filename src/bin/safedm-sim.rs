@@ -4,11 +4,11 @@
 //! redundantly under SafeDM, and report the diversity verdict; optionally
 //! dump a VCD waveform or a commit trace.
 //!
-//! The `analyze` subcommand runs the static diversity analyzer
-//! (`safedm-analysis`) instead of the simulator, and can optionally
-//! cross-validate its guaranteed findings against the runtime monitor.
-//! With `--pair` it analyzes the composed diversity-transformed twin of a
-//! kernel and runs the two-program relational prover, certifying
+//! The `analyze` subcommand runs the static diversity prover
+//! (`safedm-analysis`) instead of the simulator, and with `--gate` checks
+//! both halves of its verdicts against the runtime monitor. With `--pair`
+//! it analyzes the composed diversity-transformed twin of a kernel and
+//! also runs the two-program relational prover, certifying
 //! encoding-disjoint loop pairs diverse **at stagger 0**.
 //! The `transform` subcommand reports what the diversity transform did to a
 //! kernel (and `--verify` differentially checks the twin on the ISS).
@@ -21,11 +21,11 @@
 //!            [--engine cycle|fast]
 //!            [--vcd out.vcd [--vcd-cycles N]] [--trace N] [--json]
 //! safedm-sim --kernel bitcount [...]
-//! safedm-sim analyze <program.s | --kernel NAME> [--stagger N] [--gate]
+//! safedm-sim analyze <program.s | --kernel NAME | --kernel all> [--stagger N]
+//!            [--gate [--max-cycles N]]
 //!            [--deny IDS] [--warn IDS] [--allow IDS]
 //!            [--sarif FILE] [--baseline FILE] [--write-baseline FILE]
-//! safedm-sim analyze --kernel all [--sarif FILE] [--baseline FILE]
-//! safedm-sim analyze --prove --pair --kernel <NAME | all> [--seed S] [--level L]
+//! safedm-sim analyze --pair --kernel <NAME | all> [--seed S] [--level L]
 //! safedm-sim transform <NAME | all> [--seed S] [--level L] [--verify]
 //! safedm-sim trace <kernel | program.s> [--cycles N] [--out FILE] [--jsonl]
 //! safedm-sim stats <kernel | program.s> [--cycles N] [--json] [--profile]
@@ -69,7 +69,10 @@
 use std::process::ExitCode;
 
 use safedm::analysis::baseline::{Baseline, BaselineFilter};
-use safedm::analysis::{analyze, sarif, AnalysisConfig, Diagnostic, LintLevels, Severity};
+use safedm::analysis::{
+    analyze, prove, prove_pair, sarif, AnalysisConfig, Diagnostic, LintLevels, Severity,
+    SoundnessGuard,
+};
 use safedm::asm::transform::TransformConfig;
 use safedm::asm::Program;
 use safedm::campaign::spec::{CampaignSpec, Protocol};
@@ -83,7 +86,7 @@ use safedm::tacle::{
     build_kernel_program, build_twin_pair, build_twin_program, kernels, HarnessConfig,
     StaggerConfig, TwinConfig,
 };
-use safedm_bench::experiments::run_gated;
+use safedm_bench::experiments::run_guarded;
 use safedm_bench::http::{ServeConfig, Server};
 use safedm_bench::{args, service};
 
@@ -98,7 +101,7 @@ fn usage() -> &'static str {
      \x20      [--engine cycle|fast]\n\
      \x20      [--vcd FILE [--vcd-cycles N]] [--trace N] [--max-cycles N] [--json]\n\
      \x20      safedm-sim analyze <program.s | --kernel NAME | --kernel all>\n\
-     \x20      [--base ADDR] [--stagger NOPS] [--gate] [--prove] [--max-cycles N]\n\
+     \x20      [--base ADDR] [--stagger NOPS] [--gate] [--max-cycles N]\n\
      \x20      [--pair [--seed S] [--level 0..3]]\n\
      \x20      [--deny IDS] [--warn IDS] [--allow IDS]\n\
      \x20      [--sarif FILE] [--baseline FILE] [--write-baseline FILE]\n\
@@ -308,65 +311,93 @@ fn lint_outputs(args: &[String], mut runs: Vec<(String, Vec<Diagnostic>)>) -> Re
     Ok(())
 }
 
-/// The `analyze --kernel all` lint sweep (no `--prove`): run the registry
-/// lints over every built-in kernel, print one summary line each, and feed
-/// the combined findings through [`lint_outputs`] — this is the CI lint
-/// gate (`--sarif` + `--baseline ci/lint-baseline.json`).
-fn run_lint_sweep(args: &[String]) -> Result<(), String> {
-    let stagger_nops = args::opt_u64(args, "--stagger")?;
-    let levels = lint_levels(args)?;
+/// A kernel program and its analysis configuration: with `--stagger N`
+/// the harness sled makes the delayed hart commit `N` nops while the other
+/// hart commits one `j skip`, an effective delta of `N - 1` (phase -1).
+fn kernel_setup(
+    k: &safedm::tacle::Kernel,
+    stagger_nops: Option<u64>,
+    levels: &LintLevels,
+) -> (Program, AnalysisConfig) {
+    let stagger = stagger_nops.map(|nops| StaggerConfig { nops: nops as usize, delayed_core: 1 });
+    let prog = build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() });
+    let cfg = AnalysisConfig {
+        stagger_nops,
+        stagger_phase: if stagger.is_some() { -1 } else { 0 },
+        levels: levels.clone(),
+        ..AnalysisConfig::default()
+    };
+    (prog, cfg)
+}
+
+/// `(errors, warnings)` among `diags`.
+fn severity_counts(diags: &[Diagnostic]) -> (usize, usize) {
+    let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
+    (count(Severity::Error), count(Severity::Warning))
+}
+
+/// The `analyze --kernel all` sweep: prove every built-in kernel, print one
+/// line each (finding counts, then the prover's summary line), and feed the
+/// combined findings through [`lint_outputs`] — this is the CI lint gate
+/// (`--sarif` + `--baseline ci/lint-baseline.json`).
+fn run_analysis_sweep(
+    args: &[String],
+    stagger_nops: Option<u64>,
+    levels: &LintLevels,
+) -> Result<(), String> {
+    println!("analysis sweep over {} kernels:", kernels::all().len());
     let mut runs: Vec<(String, Vec<Diagnostic>)> = Vec::new();
     for k in kernels::all() {
-        let stagger =
-            stagger_nops.map(|nops| StaggerConfig { nops: nops as usize, delayed_core: 1 });
-        let phase = if stagger.is_some() { -1 } else { 0 };
-        let prog = build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() });
-        let cfg = AnalysisConfig {
-            stagger_nops,
-            stagger_phase: phase,
-            levels: levels.clone(),
-            ..AnalysisConfig::default()
-        };
+        let (prog, cfg) = kernel_setup(k, stagger_nops, levels);
         let report = analyze(&prog, &cfg);
-        runs.push((k.name.to_owned(), report.diagnostics));
-    }
-    println!("lint sweep over {} kernels:", runs.len());
-    for (name, diags) in &runs {
-        let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-        let warnings = diags.iter().filter(|d| d.severity == Severity::Warning).count();
-        println!("  {name:<14} {errors:>3} error(s) {warnings:>3} warning(s)");
+        let proof = prove(&report.program, &report.cfg, &cfg);
+        let (errors, warnings) = severity_counts(&proof.diagnostics);
+        println!("  {errors:>3} error(s) {warnings:>3} warning(s)  {}", proof.summary_line(k.name));
+        runs.push((k.name.to_owned(), proof.diagnostics));
     }
     lint_outputs(args, runs)
 }
 
-/// The `analyze --prove --pair` path: build the composed diversity twin of
-/// a kernel, lint it in pair mode, and run the two-program relational
+/// The `analyze --pair` path: build the composed diversity twin of a
+/// kernel, prove it in pair mode, and run the two-program relational
 /// prover, which certifies encoding-disjoint loop pairs diverse at
-/// stagger 0. `--kernel all` prints one summary line per kernel (the CI
-/// smoke test drives that); a correspondence-map violation (DIV010) is a
-/// hard error.
-fn run_analyze_pair(args: &[String]) -> Result<(), String> {
+/// stagger 0. `--kernel all` prints one pair summary line per kernel; a
+/// single kernel prints both reports, and a correspondence-map violation
+/// (DIV010) is a hard error. Both feed their findings (under the program
+/// name `<kernel>.twin`) through [`lint_outputs`].
+fn run_analyze_pair(args: &[String], levels: &LintLevels) -> Result<(), String> {
     if args::value(args, "--stagger").is_some() {
         return Err("--pair certifies at stagger 0; --stagger is not applicable".to_owned());
     }
     let tcfg = twin_config(args)?;
     let kname = args::value(args, "--kernel")
         .ok_or_else(|| "--pair needs --kernel NAME (or --kernel all)".to_owned())?;
-    let cfg = AnalysisConfig { pair_mode: true, ..AnalysisConfig::default() };
+    let cfg =
+        AnalysisConfig { pair_mode: true, levels: levels.clone(), ..AnalysisConfig::default() };
+    let prove_twin = |k: &safedm::tacle::Kernel| {
+        let tw = build_twin_program(k, &tcfg);
+        let report = analyze(&tw.program, &cfg);
+        let proof = prove(&report.program, &report.cfg, &cfg);
+        let pr = prove_pair(&report.program, &report.cfg, &tw.map, &cfg);
+        (tw, report, proof, pr)
+    };
+    let findings = |proof: &safedm::analysis::ProveReport, pr: &safedm::analysis::PairReport| {
+        proof.diagnostics.iter().chain(&pr.diagnostics).cloned().collect::<Vec<_>>()
+    };
 
     if kname == "all" {
+        let mut runs = Vec::new();
         for k in kernels::all() {
-            let tw = build_twin_program(k, &tcfg);
-            let report = analyze(&tw.program, &cfg);
-            let pr = safedm::analysis::prove_pair(&report.program, &report.cfg, &tw.map, &cfg);
+            let (_, _, proof, pr) = prove_twin(k);
             println!("{}", pr.summary_line(k.name));
+            runs.push((format!("{}.twin", k.name), findings(&proof, &pr)));
         }
-        return Ok(());
+        return lint_outputs(args, runs);
     }
 
     let k = kernels::by_name(&kname)
         .ok_or_else(|| format!("unknown kernel `{kname}` (see --list-kernels)"))?;
-    let tw = build_twin_program(k, &tcfg);
+    let (tw, report, proof, pr) = prove_twin(k);
     println!(
         "twin pair `{}` (transform `{}`, seed {:#x}): original @ {:#x}, variant @ {:#x}",
         k.name,
@@ -375,11 +406,10 @@ fn run_analyze_pair(args: &[String]) -> Result<(), String> {
         tw.orig_entry,
         tw.var_entry,
     );
-    let report = analyze(&tw.program, &cfg);
-    print!("{}", report.render());
-    let pr = safedm::analysis::prove_pair(&report.program, &report.cfg, &tw.map, &cfg);
+    print!("{}", proof.render(&report.program, cfg.snippet_lines));
     println!("\ntwo-program relational prover:");
     print!("{}", pr.render(&report.program, cfg.snippet_lines));
+    lint_outputs(args, vec![(format!("{}.twin", k.name), findings(&proof, &pr))])?;
     if !pr.map_ok {
         return Err(
             "correspondence-map violation (DIV010): twin is not a faithful renaming".to_owned()
@@ -388,97 +418,77 @@ fn run_analyze_pair(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The `analyze` subcommand: run the static diversity lints, print the
-/// rustc-style report, and with `--gate` cross-validate the guaranteed
-/// findings against a monitored run. `--prove` additionally runs the
-/// abstract-interpretation prover and prints per-loop minimum-safe-stagger
-/// certificates; `--kernel all` proves every built-in kernel (one summary
-/// line each), which is what the CI smoke test drives.
+/// The `analyze` subcommand: prove a program (every DIV finding comes from
+/// the prover), print the rustc-style report, feed the findings through
+/// [`lint_outputs`], and with `--gate` run the program under the monitor
+/// with a [`SoundnessGuard`] checking both halves of the verdicts.
+/// `--kernel all` sweeps every built-in kernel; `--pair` proves a
+/// diversity twin.
 fn run_analyze(args: &[String]) -> Result<(), String> {
     let base = args::u64_or(args, "--base", 0x8000_0000)?;
     let stagger_nops = args::opt_u64(args, "--stagger")?;
     let max_cycles = args::u64_or(args, "--max-cycles", 500_000_000)?;
-    let prove_mode = args::flag(args, "--prove");
+    let levels = lint_levels(args)?;
+    let gate = args::flag(args, "--gate");
 
     if args::flag(args, "--pair") {
-        if !prove_mode {
-            return Err("--pair is only supported with --prove".to_owned());
-        }
-        return run_analyze_pair(args);
+        return run_analyze_pair(args, &levels);
     }
-
     if args::value(args, "--kernel").as_deref() == Some("all") {
-        if !prove_mode {
-            // Lint sweep: the registry lints over every kernel, with the
-            // SARIF/baseline gate tail. This is what CI drives.
-            return run_lint_sweep(args);
-        }
-        for k in kernels::all() {
-            let stagger =
-                stagger_nops.map(|nops| StaggerConfig { nops: nops as usize, delayed_core: 1 });
-            let phase = if stagger.is_some() { -1 } else { 0 };
-            let prog =
-                build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() });
-            let cfg =
-                AnalysisConfig { stagger_nops, stagger_phase: phase, ..AnalysisConfig::default() };
-            let report = analyze(&prog, &cfg);
-            let proof = safedm::analysis::prove(&report.program, &report.cfg, &cfg);
-            println!("{}", proof.summary_line(k.name));
-        }
-        return Ok(());
+        return run_analysis_sweep(args, stagger_nops, &levels);
     }
 
-    let (name, prog, phase) = if let Some(kname) = args::value(args, "--kernel") {
+    let (name, prog, cfg) = if let Some(kname) = args::value(args, "--kernel") {
         let k = kernels::by_name(&kname)
             .ok_or_else(|| format!("unknown kernel `{kname}` (see --list-kernels)"))?;
-        let stagger =
-            stagger_nops.map(|nops| StaggerConfig { nops: nops as usize, delayed_core: 1 });
-        // The harness sled makes the delayed hart commit `nops` nops while
-        // the other hart commits one `j skip`: effective delta = nops - 1.
-        let phase = if stagger.is_some() { -1 } else { 0 };
-        let prog = build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() });
-        (kname, prog, phase)
+        let (prog, cfg) = kernel_setup(k, stagger_nops, &levels);
+        (kname, prog, cfg)
     } else {
         let path = args
             .iter()
             .find(|a| !a.starts_with("--") && *a != "analyze" && !args::is_flag_value(args, a))
             .ok_or_else(|| usage().to_owned())?;
+        if gate && stagger_nops.is_some() {
+            return Err(
+                "--gate with --stagger needs --kernel (the harness builds the sled)".to_owned()
+            );
+        }
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let prog = safedm::asm::assemble(&source, base).map_err(|e| e.to_string())?;
-        (path.clone(), prog, 0)
+        (path.clone(), prog, AnalysisConfig { stagger_nops, levels, ..AnalysisConfig::default() })
     };
 
-    let cfg = AnalysisConfig {
-        stagger_nops,
-        stagger_phase: phase,
-        levels: lint_levels(args)?,
-        ..AnalysisConfig::default()
-    };
     let report = analyze(&prog, &cfg);
+    let proof = prove(&report.program, &report.cfg, &cfg);
     println!("static diversity analysis of `{name}`");
-    print!("{}", report.render());
+    print!("{}", proof.render(&report.program, cfg.snippet_lines));
+    let (errors, warnings) = severity_counts(&proof.diagnostics);
+    println!(
+        "analysis: {} instructions, {} blocks, {} loops; {errors} errors, {warnings} warnings",
+        report.program.slots.len(),
+        report.cfg.blocks.len(),
+        report.cfg.loops.len(),
+    );
+    lint_outputs(args, vec![(name, proof.diagnostics.clone())])?;
 
-    let mut findings = report.diagnostics.clone();
-    if prove_mode {
-        let proof = safedm::analysis::prove(&report.program, &report.cfg, &cfg);
-        println!("\nabstract-interpretation prover:");
-        print!("{}", proof.render(&report.program, cfg.snippet_lines));
-        findings.extend(cfg.levels.apply(proof.diagnostics.clone()));
-    }
-    lint_outputs(args, vec![(name.clone(), findings)])?;
-
-    if args::flag(args, "--gate") {
-        println!("\ncross-validating against the runtime monitor (stagger 0) ...");
-        let (_, gate) = run_gated(&prog, report, max_cycles);
-        print!("{}", gate.summary());
-        if !gate.all_confirmed() {
-            return Err("cross-validation REFUTED a guaranteed prediction".to_owned());
-        }
+    if gate {
         println!(
-            "gate: {}/{} predicted regions executed, all confirmed",
-            gate.executed_count(),
-            gate.checks().len()
+            "\nchecking the verdicts against the runtime monitor (effective stagger {}) ...",
+            proof.effective_stagger
+        );
+        let mut guard = SoundnessGuard::new(&proof, cfg.fifo_depth);
+        run_guarded(&prog, &mut guard, max_cycles);
+        print!("{}", guard.summary());
+        if !guard.passed() {
+            return Err("the runtime monitor REFUTED a proved verdict".to_owned());
+        }
+        let (met, confirmed, unconfirmed) = guard.collision_counts();
+        println!(
+            "gate: {met}/{} proved-collision regions met their precondition ({confirmed} \
+             confirmed, {unconfirmed} unconfirmed), {} diverse-half violations",
+            guard.collisions().len(),
+            guard.violations.len()
         );
     }
     Ok(())

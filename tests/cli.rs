@@ -1,6 +1,7 @@
 //! The `safedm-sim` command line end to end: the `--engine` flag of the
 //! kernel run and of `campaign`, which reads the retired `hybrid` name as
-//! the cycle engine, and the `campaign --events-out` → `report` pipeline.
+//! the cycle engine, the `campaign --events-out` → `report` pipeline, and
+//! the `analyze` sweep and `--gate` check.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -106,4 +107,32 @@ fn report_renders_a_campaign_event_stream() {
     let out = sim().arg("report").output().expect("run safedm-sim");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("report needs --events FILE"));
+}
+
+#[test]
+fn analyze_gate_confirms_an_idle_loop() {
+    let src = tmp("spin-then-idle.s");
+    std::fs::write(&src, "li t0, 200\nspin: addi t0, t0, -1\nbnez t0, spin\nidle: nop\nj idle\n")
+        .expect("write program");
+    // The idle loop never halts: the cycle budget ends the run.
+    let out = sim()
+        .arg("analyze")
+        .arg(&src)
+        .args(["--gate", "--max-cycles", "100000"])
+        .output()
+        .expect("run safedm-sim");
+    let _ = std::fs::remove_file(&src);
+    let stdout = checked(out, "analyze --gate");
+    let div001: Vec<&str> =
+        stdout.lines().filter(|l| l.trim_start().starts_with("DIV001")).collect();
+    assert_eq!(div001.len(), 1, "one DIV001 region:\n{stdout}");
+    assert!(div001[0].ends_with("-> CONFIRMED"), "{stdout}");
+}
+
+#[test]
+fn analyze_kernel_all_sweeps_every_kernel() {
+    let out = sim().args(["analyze", "--kernel", "all"]).output().expect("run safedm-sim");
+    let stdout = checked(out, "analyze --kernel all");
+    let kernels = stdout.lines().filter(|l| l.contains(" stagger=0 points=")).count();
+    assert_eq!(kernels, 29, "{stdout}");
 }

@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use safedm::analysis::{analyze, AnalysisConfig};
+use safedm::analysis::{analyze, prove, AnalysisConfig, SoundnessGuard};
 use safedm::asm::{Asm, Program};
 use safedm::faults::{Campaign, CampaignConfig};
 use safedm::isa::Reg;
@@ -21,7 +21,7 @@ use safedm::monitor::{
 use safedm::soc::SocConfig;
 use safedm::tacle::{build_kernel_program, kernels, HarnessConfig, StaggerConfig};
 use safedm_bench::experiments::{
-    gate_hazards, json, render_table1, run_gated, summarize_table1, table1, RUN_BUDGET,
+    gate_hazards, json, render_table1, run_guarded, summarize_table1, table1, RUN_BUDGET,
 };
 
 fn golden_path(name: &str) -> PathBuf {
@@ -209,8 +209,8 @@ fn trace_digest(trace: &[TraceSample]) -> u64 {
 
 /// What the per-cycle observers of a monitored run produce: a
 /// `RunObserver` metric snapshot (the `tests/observability.rs` run), the
-/// static gate's verdicts on four kernels and the `static_vs_dynamic`
-/// hazards, and a trace of `fac` at 0 nops.
+/// soundness guard's per-region lines on four kernels and the three
+/// `gate_hazards` programs, and a trace of `fac` at 0 nops.
 #[test]
 fn observers_match_golden() {
     let polling = SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() };
@@ -232,8 +232,11 @@ fn observers_match_golden() {
         .collect();
     gated.extend(gate_hazards().into_iter().map(|(name, prog)| (name, prog, 100_000)));
     for (name, prog, budget) in &gated {
-        let (_, gate) = run_gated(prog, analyze(prog, &AnalysisConfig::default()), *budget);
-        text += &format!("gate, {name}:\n{}", gate.summary());
+        let report = analyze(prog, &AnalysisConfig::default());
+        let proof = prove(&report.program, &report.cfg, &report.config);
+        let mut guard = SoundnessGuard::new(&proof, report.config.fifo_depth);
+        run_guarded(prog, &mut guard, *budget);
+        text += &format!("gate, {name}:\n{}", guard.summary());
     }
 
     let mut sys = MonitoredSoc::new(SocConfig::default(), polling);

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use safedm::analysis::{analyze, sarif, AnalysisConfig, Baseline, BaselineFilter, Severity};
+use safedm::analysis::{analyze, prove, sarif, AnalysisConfig, Baseline, BaselineFilter, Severity};
 use safedm::obs::json::{self, JsonValue};
 use safedm::tacle::{build_kernel_program, kernels, HarnessConfig};
 
@@ -13,7 +13,7 @@ fn kernel_findings(name: &str) -> (String, Vec<safedm::analysis::Diagnostic>) {
     let k = kernels::by_name(name).expect("kernel");
     let prog = build_kernel_program(k, &HarnessConfig::default());
     let report = analyze(&prog, &AnalysisConfig::default());
-    (name.to_owned(), report.diagnostics)
+    (name.to_owned(), prove(&report.program, &report.cfg, &report.config).diagnostics)
 }
 
 #[test]
@@ -132,24 +132,24 @@ fn cli_lint_gate_round_trips_over_the_whole_suite() {
 
 #[test]
 fn cli_lint_gate_fails_on_uncovered_errors() {
-    // An empty baseline plus `--deny DIV003` promotes fac's
-    // data-independent-loop warnings to errors the baseline cannot cover.
+    // An empty baseline plus `--deny DIV008` promotes the warnings of fac's
+    // three unprovable loops to errors the baseline cannot cover.
     let empty = tmp("empty-baseline.json");
     std::fs::write(&empty, Baseline::default().render()).expect("write empty baseline");
 
     let out = sim()
-        .args(["analyze", "--kernel", "fac", "--deny", "DIV003", "--baseline"])
+        .args(["analyze", "--kernel", "fac", "--deny", "DIV008", "--baseline"])
         .arg(&empty)
         .output()
         .expect("run safedm-sim");
     assert!(!out.status.success(), "gate must fail on uncovered errors");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("lint gate"), "stderr: {stderr}");
-    assert!(stderr.contains("DIV003"), "stderr names the rule: {stderr}");
+    assert!(stderr.contains("DIV008"), "stderr names the rule: {stderr}");
 
     // The same run with the findings allowed passes.
     let out = sim()
-        .args(["analyze", "--kernel", "fac", "--allow", "DIV003", "--baseline"])
+        .args(["analyze", "--kernel", "fac", "--allow", "DIV008", "--baseline"])
         .arg(&empty)
         .output()
         .expect("run safedm-sim");
