@@ -34,15 +34,22 @@ pub fn flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Whether `tok` is the value of some `--flag value` pair (used by
-/// positional-argument scans to skip flag values).
+/// The first positional argument: the first token that is neither a
+/// `--flag` nor the value of one. Every flag takes the token after it as
+/// its value except those in `switches`, which take none.
 #[must_use]
-pub fn is_flag_value(args: &[String], tok: &str) -> bool {
-    args.iter()
-        .position(|a| a == tok)
-        .and_then(|i| i.checked_sub(1))
-        .and_then(|i| args.get(i))
-        .is_some_and(|prev| prev.starts_with("--"))
+pub fn positional<'a>(args: &'a [String], switches: &[&str]) -> Option<&'a String> {
+    let mut after_flag = false;
+    for a in args {
+        if a.starts_with("--") {
+            after_flag = !switches.contains(&a.as_str());
+        } else if after_flag {
+            after_flag = false;
+        } else {
+            return Some(a);
+        }
+    }
+    None
 }
 
 /// Parses a `u64` accepting decimal or `0x`-prefixed hex.
@@ -179,8 +186,17 @@ mod tests {
         assert_eq!(value(&a, "--seed"), None);
         assert!(flag(&a, "--quick"));
         assert!(!flag(&a, "--json"));
-        assert!(is_flag_value(&a, "4"));
-        assert!(!is_flag_value(&a, "bin"));
+    }
+
+    #[test]
+    fn positional_skips_flag_values_but_not_after_a_switch() {
+        let a = args(&["--runs", "4", "--gate", "prog.s", "--quick"]);
+        assert_eq!(positional(&a, &["--gate", "--quick"]).map(String::as_str), Some("prog.s"));
+        // Read as a flag with a value, `--gate` would hide the path.
+        assert_eq!(positional(&a, &["--quick"]), None);
+        // A positional token equal to a flag's value is still found.
+        let a = args(&["--runs", "4", "4"]);
+        assert_eq!(positional(&a, &[]).map(String::as_str), Some("4"));
     }
 
     #[test]

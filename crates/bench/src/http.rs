@@ -12,8 +12,14 @@
 //! | `DELETE` | `/v1/campaigns/{id}` | cancel: raise the job's stop flag; `202` with `canceling` (or the final status when already done) |
 //! | `GET` | `/v1/healthz` | liveness + code version |
 //!
-//! Each accepted connection is handled on its own thread
-//! (`Connection: close`, one request per connection); campaign cells
+//! Each accepted connection is handled on its own thread and stays open
+//! for the client's next request (HTTP/1.1 keep-alive). It ends at EOF,
+//! after the response to a request that asks to close (`Connection:
+//! close`, or HTTP/1.0 without `keep-alive`), after the `400` that answers
+//! a malformed or oversized request, or when no request arrives within
+//! [`IDLE_TIMEOUT`]. Every response is framed (`Content-Length` or
+//! chunked), so the next response on the connection starts where it ends;
+//! the last one on a connection says `Connection: close`. Campaign cells
 //! execute on the shared `safedm-campaign` pool via [`crate::service`],
 //! fronted by one server-wide content-addressed [`ResultCache`]. The
 //! streamed lines are the cells' [`Timing::Strip`]-serialised events —
@@ -21,10 +27,11 @@
 //! `crate::service` for the argument).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use safedm_campaign::cache::ResultCache;
 use safedm_campaign::spec::{CampaignSpec, CODE_VERSION, SCHEMA};
@@ -37,6 +44,12 @@ use crate::service::{self, RunOptions};
 const MAX_HEAD: usize = 16 * 1024;
 /// Maximum request body (a spec document) the server will read.
 const MAX_BODY: usize = 1024 * 1024;
+/// How long a connection may stay silent while the server reads a
+/// request. A client that sends nothing for this long is disconnected, so
+/// an idle keep-alive connection holds its handler thread no longer.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long one write may block on a client that stopped reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server configuration.
 pub struct ServeConfig {
@@ -104,6 +117,9 @@ struct State {
 pub struct Server {
     listener: TcpListener,
     state: Arc<State>,
+    /// Read timeout of every connection: [`IDLE_TIMEOUT`] (tests shorten
+    /// it).
+    idle: Duration,
 }
 
 impl Server {
@@ -127,6 +143,7 @@ impl Server {
                 campaigns: Mutex::new(HashMap::new()),
                 next_id: AtomicU64::new(1),
             }),
+            idle: IDLE_TIMEOUT,
         })
     }
 
@@ -144,8 +161,9 @@ impl Server {
         for stream in self.listener.incoming() {
             let Ok(stream) = stream else { continue };
             let state = Arc::clone(&self.state);
+            let idle = self.idle;
             std::thread::spawn(move || {
-                let _ = handle_connection(stream, &state);
+                let _ = handle_connection(stream, &state, idle);
             });
         }
     }
@@ -161,49 +179,104 @@ fn json_body(members: Vec<(&str, JsonValue)>) -> String {
     JsonValue::Obj(obj).render()
 }
 
-fn write_response(
-    out: &mut impl Write,
-    status: u16,
-    reason: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
+/// The write half of a connection. A response is written into the buffer
+/// and flushed once (the event stream once per batch).
+struct Reply {
+    out: BufWriter<TcpStream>,
+    /// The connection ends after this response, which then says so.
+    last: bool,
 }
 
-fn write_error(out: &mut impl Write, status: u16, reason: &str, msg: &str) -> std::io::Result<()> {
+impl Reply {
+    /// The response's `Connection` header line: empty on a connection that
+    /// stays open.
+    fn connection(&self) -> &'static str {
+        if self.last {
+            "Connection: close\r\n"
+        } else {
+            ""
+        }
+    }
+}
+
+fn write_response(out: &mut Reply, status: u16, reason: &str, body: &str) -> std::io::Result<()> {
+    let connection = out.connection();
+    write!(
+        out.out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{connection}\r\n{body}",
+        body.len()
+    )?;
+    out.out.flush()
+}
+
+fn write_error(out: &mut Reply, status: u16, reason: &str, msg: &str) -> std::io::Result<()> {
     let body = json_body(vec![("error", JsonValue::Str(msg.to_owned()))]);
     write_response(out, status, reason, &body)
 }
 
-/// Reads one request: `(method, path, body)`.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, String), String> {
+/// One request of a connection.
+struct Request {
+    method: String,
+    path: String,
+    body: String,
+    /// Whether the client keeps the connection open after the response:
+    /// HTTP/1.1 unless it sends `Connection: close`, HTTP/1.0 only with
+    /// `Connection: keep-alive`.
+    keep_alive: bool,
+}
+
+/// Reads one line of a request head, charging it to the head's byte
+/// budget.
+fn read_head_line(reader: &mut BufReader<TcpStream>, budget: &mut usize) -> Result<String, String> {
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
+    let n = reader.take(*budget as u64).read_line(&mut line).map_err(|e| e.to_string())?;
+    if !line.ends_with('\n') {
+        return Err(
+            if n == *budget { "request head too large" } else { "request cut short" }.to_owned()
+        );
+    }
+    *budget -= n;
+    Ok(line.trim_end().to_owned())
+}
+
+/// Whether a comma-separated header value lists `token`.
+fn lists(value: &str, token: &str) -> bool {
+    value.split(',').any(|t| t.trim().eq_ignore_ascii_case(token))
+}
+
+/// Reads the next request of a connection. `Ok(None)` when the client
+/// closed the connection, or sent nothing within the read timeout, before
+/// the request's first byte; `Err` for a malformed, oversized or truncated
+/// request.
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, String> {
+    if !reader.fill_buf().is_ok_and(|b| !b.is_empty()) {
+        return Ok(None);
+    }
+    let mut budget = MAX_HEAD;
+    let line = read_head_line(reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_owned();
     let path = parts.next().ok_or("request line has no path")?.to_owned();
+    let mut keep_alive = parts.next() == Some("HTTP/1.1");
     let mut content_length = 0usize;
-    let mut head = line.len();
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).map_err(|e| e.to_string())?;
-        head += h.len();
-        if head > MAX_HEAD {
-            return Err("request head too large".to_owned());
-        }
-        let h = h.trim_end();
+        let h = read_head_line(reader, &mut budget)?;
         if h.is_empty() {
             break;
         }
-        if let Some((name, value)) = h.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length =
-                    value.trim().parse().map_err(|_| "invalid Content-Length".to_owned())?;
-            }
+        let Some((name, value)) = h.split_once(':') else { continue };
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length =
+                value.trim().parse().map_err(|_| "invalid Content-Length".to_owned())?;
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Without the body's length the next request cannot be found.
+            return Err("request bodies must have a Content-Length".to_owned());
+        } else if name.eq_ignore_ascii_case("connection") {
+            keep_alive = if lists(value, "close") {
+                false
+            } else {
+                keep_alive || lists(value, "keep-alive")
+            };
         }
     }
     if content_length > MAX_BODY {
@@ -211,17 +284,44 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, St
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| e.to_string())?;
-    Ok((method, path, String::from_utf8_lossy(&body).into_owned()))
+    Ok(Some(Request {
+        method,
+        path,
+        body: String::from_utf8_lossy(&body).into_owned(),
+        keep_alive,
+    }))
 }
 
-fn handle_connection(stream: TcpStream, state: &State) -> std::io::Result<()> {
+/// Serves the requests of one connection in order until the client closes
+/// it, asks to, stays idle past `idle`, or sends a request the server
+/// cannot read (answered `400`).
+fn handle_connection(stream: TcpStream, state: &State, idle: Duration) -> std::io::Result<()> {
+    // The event stream writes once per batch; with Nagle's algorithm, a
+    // write would wait for the client's delayed ACK of the one before.
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(idle))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut out = stream;
-    let (method, path, body) = match read_request(&mut reader) {
-        Ok(r) => r,
-        Err(e) => return write_error(&mut out, 400, "Bad Request", &e),
-    };
-    match (method.as_str(), path.as_str()) {
+    let mut out = Reply { out: BufWriter::new(stream), last: false };
+    loop {
+        let request = match read_request(&mut reader) {
+            Ok(Some(request)) => request,
+            Ok(None) => return Ok(()),
+            Err(e) => {
+                out.last = true;
+                return write_error(&mut out, 400, "Bad Request", &e);
+            }
+        };
+        out.last = !request.keep_alive;
+        respond(&mut out, state, &request)?;
+        if out.last {
+            return Ok(());
+        }
+    }
+}
+
+fn respond(out: &mut Reply, state: &State, request: &Request) -> std::io::Result<()> {
+    match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/v1/healthz") => {
             let campaigns = lock(&state.campaigns).len() as u64;
             let body = json_body(vec![
@@ -229,19 +329,19 @@ fn handle_connection(stream: TcpStream, state: &State) -> std::io::Result<()> {
                 ("version", JsonValue::Str(CODE_VERSION.to_owned())),
                 ("campaigns", JsonValue::Uint(campaigns)),
             ]);
-            write_response(&mut out, 200, "OK", &body)
+            write_response(out, 200, "OK", &body)
         }
-        ("POST", "/v1/campaigns") => post_campaign(&mut out, state, &body),
+        ("POST", "/v1/campaigns") => post_campaign(out, state, &request.body),
         ("GET", p) => match parse_campaign_path(p) {
-            Some((id, "events")) => get_events(&mut out, state, id),
-            Some((id, "result")) => get_result(&mut out, state, id),
-            _ => write_error(&mut out, 404, "Not Found", &format!("no such resource: {p}")),
+            Some((id, "events")) => get_events(out, state, id),
+            Some((id, "result")) => get_result(out, state, id),
+            _ => write_error(out, 404, "Not Found", &format!("no such resource: {p}")),
         },
         ("DELETE", p) => match parse_campaign_id(p) {
-            Some(id) => cancel_campaign(&mut out, state, id),
-            None => write_error(&mut out, 404, "Not Found", &format!("no such resource: {p}")),
+            Some(id) => cancel_campaign(out, state, id),
+            None => write_error(out, 404, "Not Found", &format!("no such resource: {p}")),
         },
-        (m, p) => write_error(&mut out, 405, "Method Not Allowed", &format!("cannot {m} {p}")),
+        (m, p) => write_error(out, 405, "Method Not Allowed", &format!("cannot {m} {p}")),
     }
 }
 
@@ -257,7 +357,7 @@ fn parse_campaign_id(path: &str) -> Option<u64> {
     path.strip_prefix("/v1/campaigns/c")?.parse().ok()
 }
 
-fn post_campaign(out: &mut TcpStream, state: &State, body: &str) -> std::io::Result<()> {
+fn post_campaign(out: &mut Reply, state: &State, body: &str) -> std::io::Result<()> {
     let spec = match CampaignSpec::parse_json(body) {
         Ok(s) => s,
         Err(e) => return write_error(out, 400, "Bad Request", &e),
@@ -329,14 +429,17 @@ fn post_campaign(out: &mut TcpStream, state: &State, body: &str) -> std::io::Res
     write_response(out, 201, "Created", &body)
 }
 
-fn get_events(out: &mut TcpStream, state: &State, id: u64) -> std::io::Result<()> {
+fn get_events(out: &mut Reply, state: &State, id: u64) -> std::io::Result<()> {
     let Some(job) = lock(&state.campaigns).get(&id).cloned() else {
         return write_error(out, 404, "Not Found", &format!("no campaign c{id}"));
     };
+    let connection = out.connection();
     write!(
-        out,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+        out.out,
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\n{connection}\r\n"
     )?;
+    // Each batch of lines is flushed as it arrives, so the stream follows
+    // the campaign live; the last batch leaves with the terminating chunk.
     let mut sent = 0usize;
     loop {
         let batch: Vec<String> = {
@@ -351,13 +454,13 @@ fn get_events(out: &mut TcpStream, state: &State, id: u64) -> std::io::Result<()
             batch
         };
         for line in &batch {
-            let chunk = format!("{line}\n");
-            write!(out, "{:x}\r\n{chunk}\r\n", chunk.len())?;
+            write!(out.out, "{:x}\r\n{line}\n\r\n", line.len() + 1)?;
         }
         sent += batch.len();
         if sent >= job.total {
             break;
         }
+        out.out.flush()?;
     }
     // Hold the stream open until the runner publishes its final counters,
     // so a `result` fetched right after the stream ends is never `running`.
@@ -367,12 +470,13 @@ fn get_events(out: &mut TcpStream, state: &State, id: u64) -> std::io::Result<()
             inner = job.cond.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
-    write!(out, "0\r\n\r\n")
+    write!(out.out, "0\r\n\r\n")?;
+    out.out.flush()
 }
 
 /// Raises a campaign's stop flag. Idempotent; a finished campaign just
 /// reports its final status.
-fn cancel_campaign(out: &mut TcpStream, state: &State, id: u64) -> std::io::Result<()> {
+fn cancel_campaign(out: &mut Reply, state: &State, id: u64) -> std::io::Result<()> {
     let Some(job) = lock(&state.campaigns).get(&id).cloned() else {
         return write_error(out, 404, "Not Found", &format!("no campaign c{id}"));
     };
@@ -398,7 +502,7 @@ fn job_status(inner: &JobInner) -> &'static str {
     }
 }
 
-fn get_result(out: &mut TcpStream, state: &State, id: u64) -> std::io::Result<()> {
+fn get_result(out: &mut Reply, state: &State, id: u64) -> std::io::Result<()> {
     let Some(job) = lock(&state.campaigns).get(&id).cloned() else {
         return write_error(out, 404, "Not Found", &format!("no campaign c{id}"));
     };
@@ -423,4 +527,42 @@ fn get_result(out: &mut TcpStream, state: &State, id: u64) -> std::io::Result<()
     }
     let body = json_body(members);
     write_response(out, 200, "OK", &body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn a_silent_connection_is_closed_after_the_idle_timeout() {
+        let mut server = Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            jobs: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        server.idle = Duration::from_millis(100);
+        let addr = server.local_addr().expect("local addr");
+        std::thread::spawn(move || server.run());
+
+        // Silent from the start: closed without a response.
+        let mut silent = TcpStream::connect(&addr).expect("connect");
+        silent.set_read_timeout(Some(Duration::from_secs(30))).expect("client timeout");
+        let t = Instant::now();
+        let mut rest = Vec::new();
+        silent.read_to_end(&mut rest).expect("the server closes the connection");
+        assert!(rest.is_empty(), "no response to a request never sent");
+        assert!(t.elapsed() < Duration::from_secs(30));
+
+        // Silent after one answered request: closed after that response.
+        let mut idle = TcpStream::connect(&addr).expect("connect");
+        idle.set_read_timeout(Some(Duration::from_secs(30))).expect("client timeout");
+        idle.write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+        let mut rest = Vec::new();
+        idle.read_to_end(&mut rest).expect("the server closes the connection");
+        let rest = String::from_utf8(rest).expect("utf-8 response");
+        assert!(rest.starts_with("HTTP/1.1 200 OK\r\n"), "{rest}");
+        assert!(rest.ends_with('}'), "one complete response, then EOF: {rest}");
+    }
 }

@@ -15,17 +15,25 @@
 //!
 //! The client is deliberately thin: typed request/response structs
 //! ([`Submission`], [`CampaignResult`], [`CancelAck`], [`Health`]), one
-//! TCP connection
-//! per request (`Connection: close`, matching the server), retry with
-//! exponential backoff on connect failures and 5xx responses, and a
-//! per-call deadline that bounds connect, reads and the whole event
-//! stream. Event lines come back exactly as the server streamed them —
-//! byte-identical to a local `--events-out` run of the same spec.
+//! persistent HTTP/1.1 connection, retry with exponential backoff on
+//! connect failures and 5xx responses, and a per-call deadline that bounds
+//! connect, reads and the whole event stream. Event lines come back
+//! exactly as the server streamed them — byte-identical to a local
+//! `--events-out` run of the same spec.
+//!
+//! After it has read a complete response, the client parks the connection
+//! and sends its next request over it, so [`Client::run`] costs one
+//! connection, not three. If a parked connection turns out to be closed
+//! before the status line of the next response arrives (the server's idle
+//! timeout, a restart), the client sends that request once more over a new
+//! connection. Sending a submission twice is harmless: equal specs give
+//! identical, cached results.
 
 #![warn(missing_docs)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use safedm_campaign::spec::{CampaignSpec, SCHEMA};
@@ -136,16 +144,29 @@ pub struct CampaignRun {
     pub result: CampaignResult,
 }
 
-/// Status code, lowercased headers, and a reader positioned at the body.
-type RawResponse = (u16, Vec<(String, String)>, BufReader<TcpStream>);
-
-/// Blocking campaign-service client. Cheap to construct; every call opens
-/// its own connection.
-#[derive(Debug, Clone)]
+/// Blocking campaign-service client. Cheap to construct; it opens its
+/// connection on the first call and reuses it while the server keeps it
+/// open.
+#[derive(Debug)]
 pub struct Client {
     addr: String,
     retry: RetryPolicy,
     deadline: Option<Duration>,
+    /// The connection of the last complete response, if the server keeps
+    /// it open.
+    parked: Mutex<Option<BufReader<TcpStream>>>,
+}
+
+impl Clone for Client {
+    /// The same server and settings; the clone opens its own connection.
+    fn clone(&self) -> Client {
+        Client {
+            addr: self.addr.clone(),
+            retry: self.retry,
+            deadline: self.deadline,
+            parked: Mutex::default(),
+        }
+    }
 }
 
 impl Client {
@@ -153,7 +174,12 @@ impl Client {
     /// deadline.
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Client {
-        Client { addr: addr.into(), retry: RetryPolicy::default(), deadline: None }
+        Client {
+            addr: addr.into(),
+            retry: RetryPolicy::default(),
+            deadline: None,
+            parked: Mutex::default(),
+        }
     }
 
     /// Sets the retry policy.
@@ -227,12 +253,10 @@ impl Client {
     pub fn stream_events(&self, id: &str) -> Result<Vec<String>, SdkError> {
         let started = self.start();
         let path = format!("/v1/campaigns/{id}/events");
-        let (status, headers, mut reader) = self.request_raw("GET", &path, None, started)?;
+        let (status, text) = self.exchange("GET", &path, None, started)?;
         if status != 200 {
-            let body = read_plain_body(&headers, &mut reader)?;
-            return Err(SdkError::Http { status, body });
+            return Err(SdkError::Http { status, body: text });
         }
-        let text = read_body(&headers, &mut reader)?;
         Ok(text.lines().map(str::to_owned).collect())
     }
 
@@ -329,8 +353,7 @@ impl Client {
         body: Option<&str>,
         started: Option<Instant>,
     ) -> Result<(u16, JsonValue), SdkError> {
-        let (status, headers, mut reader) = self.request_raw(method, path, body, started)?;
-        let text = read_body(&headers, &mut reader)?;
+        let (status, text) = self.exchange(method, path, body, started)?;
         let v = parse(&text).map_err(|e| proto(&format!("body is not JSON: {e}")))?;
         match v.get("schema").and_then(JsonValue::as_str) {
             Some(SCHEMA) => Ok((status, v)),
@@ -339,17 +362,63 @@ impl Client {
         }
     }
 
-    /// Opens a connection, writes the request, reads the status line and
-    /// headers. The body is left in the returned reader.
-    fn request_raw(
+    /// Sends one request and reads its whole response, over the parked
+    /// connection or a new one. A parked connection found closed before
+    /// the status line is replaced once by a new connection. The
+    /// connection is parked again if the response was framed and did not
+    /// say that the server closes it.
+    fn exchange(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
         started: Option<Instant>,
-    ) -> Result<RawResponse, SdkError> {
+    ) -> Result<(u16, String), SdkError> {
         let remaining = self.remaining(started)?;
-        let stream = match remaining {
+        let body = body.unwrap_or("");
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            self.addr,
+            body.len()
+        );
+        let parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let reused = parked.is_some();
+        let mut conn = match parked {
+            Some(conn) => conn,
+            None => self.connect(remaining)?,
+        };
+        let mut status = send(&mut conn, &request, remaining)?;
+        if status.is_none() && reused {
+            conn = self.connect(remaining)?;
+            status = send(&mut conn, &request, remaining)?;
+        }
+        let status = status.ok_or_else(|| {
+            SdkError::Connect(format!("{}: connection closed before the response", self.addr))
+        })?;
+        let mut headers = Vec::new();
+        loop {
+            let mut h = String::new();
+            conn.read_line(&mut h).map_err(read_err)?;
+            let h = h.trim_end();
+            if h.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = h.split_once(':') {
+                headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+            }
+        }
+        let text = read_body(&headers, &mut conn)?;
+        let framed = header(&headers, "content-length").is_some() || is_chunked(&headers);
+        let closes = header(&headers, "connection")
+            .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")));
+        if framed && !closes && conn.buffer().is_empty() {
+            *self.parked.lock().unwrap_or_else(PoisonError::into_inner) = Some(conn);
+        }
+        Ok((status, text))
+    }
+
+    fn connect(&self, remaining: Option<Duration>) -> Result<BufReader<TcpStream>, SdkError> {
+        match remaining {
             Some(d) => {
                 let addr = self
                     .addr
@@ -359,39 +428,34 @@ impl Client {
             }
             None => TcpStream::connect(&self.addr),
         }
-        .map_err(|e| SdkError::Connect(format!("{}: {e}", self.addr)))?;
-        stream.set_read_timeout(remaining).map_err(|e| SdkError::Connect(e.to_string()))?;
-        let mut out = stream.try_clone().map_err(|e| SdkError::Connect(e.to_string()))?;
-        let body = body.unwrap_or("");
-        write!(
-            out,
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            self.addr,
-            body.len()
-        )
-        .map_err(|e| SdkError::Connect(e.to_string()))?;
-        let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line).map_err(read_err)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| proto(&format!("bad status line `{}`", status_line.trim())))?;
-        let mut headers = Vec::new();
-        loop {
-            let mut h = String::new();
-            reader.read_line(&mut h).map_err(read_err)?;
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = h.split_once(':') {
-                headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-            }
-        }
-        Ok((status, headers, reader))
+        .map(BufReader::new)
+        .map_err(|e| SdkError::Connect(format!("{}: {e}", self.addr)))
     }
+}
+
+/// Writes `request` and reads the response's status code. `Ok(None)` when
+/// the connection turns out to be closed first.
+fn send(
+    conn: &mut BufReader<TcpStream>,
+    request: &str,
+    remaining: Option<Duration>,
+) -> Result<Option<u16>, SdkError> {
+    conn.get_ref().set_read_timeout(remaining).map_err(|e| SdkError::Connect(e.to_string()))?;
+    if conn.get_mut().write_all(request.as_bytes()).is_err() {
+        return Ok(None);
+    }
+    let mut status_line = String::new();
+    match conn.read_line(&mut status_line).map_err(read_err) {
+        Ok(0) | Err(SdkError::Connect(_)) => return Ok(None),
+        Ok(_) => {}
+        Err(e) => return Err(e),
+    }
+    status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .map(Some)
+        .ok_or_else(|| proto(&format!("bad status line `{}`", status_line.trim())))
 }
 
 fn proto(msg: &str) -> SdkError {
@@ -410,12 +474,16 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
     headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
 }
 
-/// Reads a response body: `Content-Length` or chunked transfer encoding.
+fn is_chunked(headers: &[(String, String)]) -> bool {
+    header(headers, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
+}
+
+/// Reads a response body: chunked, `Content-Length`, or to EOF.
 fn read_body(
     headers: &[(String, String)],
     reader: &mut BufReader<TcpStream>,
 ) -> Result<String, SdkError> {
-    if header(headers, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
+    if is_chunked(headers) {
         let mut out = Vec::new();
         loop {
             let mut size_line = String::new();
@@ -431,14 +499,6 @@ fn read_body(
         }
         return Ok(String::from_utf8_lossy(&out).into_owned());
     }
-    read_plain_body(headers, reader)
-}
-
-/// Reads a `Content-Length` (or to-EOF) body.
-fn read_plain_body(
-    headers: &[(String, String)],
-    reader: &mut BufReader<TcpStream>,
-) -> Result<String, SdkError> {
     match header(headers, "content-length") {
         Some(len) => {
             let len: usize =
@@ -468,6 +528,108 @@ fn uint_field(v: &JsonValue, key: &str) -> Result<u64, SdkError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
+    use std::net::TcpListener;
+
+    /// Reads one request off an in-test server's connection (head and
+    /// `Content-Length` body) and returns its request line.
+    fn read_request(conn: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        conn.read_line(&mut line).expect("request line");
+        let mut len = 0;
+        loop {
+            let mut h = String::new();
+            conn.read_line(&mut h).expect("header");
+            let h = h.trim_end();
+            if h.is_empty() {
+                break;
+            }
+            if let Some(v) = h.strip_prefix("Content-Length: ") {
+                len = v.parse().expect("length");
+            }
+        }
+        let mut body = vec![0u8; len];
+        conn.read_exact(&mut body).expect("body");
+        line.trim_end().to_owned()
+    }
+
+    fn json_response(status: &str, body: &str) -> String {
+        format!("HTTP/1.1 {status}\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+    }
+
+    #[test]
+    fn run_sends_its_three_requests_over_one_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let responses = [
+            json_response(
+                "201 Created",
+                &format!(r#"{{"schema":"{SCHEMA}","id":"c1","cells":2,"spec_digest":"0"}}"#),
+            ),
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\n{a}\n\r\n4\r\n{b}\n\r\n0\r\n\r\n"
+                .to_owned(),
+            json_response(
+                "200 OK",
+                &format!(
+                    r#"{{"schema":"{SCHEMA}","status":"done","cells":2,"completed":2,"ok":true,"cache":{{"hits":2,"misses":0}}}}"#
+                ),
+            ),
+        ];
+        let server = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut conn = BufReader::new(conn);
+            let mut seen = Vec::new();
+            for response in responses {
+                seen.push(read_request(&mut conn));
+                conn.get_mut().write_all(response.as_bytes()).unwrap();
+            }
+            (listener, seen)
+        });
+        let client = Client::new(addr).with_deadline(Duration::from_secs(30));
+        let run = client.run(&CampaignSpec::default()).expect("run");
+        assert_eq!(run.lines, ["{a}", "{b}"]);
+        assert_eq!((run.result.status.as_str(), run.result.cache_hits), ("done", 2));
+        let (listener, seen) = server.join().unwrap();
+        assert_eq!(
+            seen,
+            [
+                "POST /v1/campaigns HTTP/1.1",
+                "GET /v1/campaigns/c1/events HTTP/1.1",
+                "GET /v1/campaigns/c1/result HTTP/1.1",
+            ]
+        );
+        listener.set_nonblocking(true).unwrap();
+        assert!(
+            listener.accept().is_err_and(|e| e.kind() == ErrorKind::WouldBlock),
+            "the client opened a second connection"
+        );
+    }
+
+    #[test]
+    fn a_server_that_closes_after_every_response_is_still_answered() {
+        // The server closes each connection after one response without
+        // saying so; with one attempt per call and no retries, only the
+        // reconnect rule can answer the calls after the first.
+        const CALLS: usize = 3;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            for _ in 0..CALLS {
+                let (conn, _) = listener.accept().unwrap();
+                let mut conn = BufReader::new(conn);
+                read_request(&mut conn);
+                let body = format!(r#"{{"schema":"{SCHEMA}","status":"ok","version":"v"}}"#);
+                conn.get_mut().write_all(json_response("200 OK", &body).as_bytes()).unwrap();
+            }
+        });
+        let client = Client::new(addr)
+            .with_retry(RetryPolicy { attempts: 1, backoff: Duration::from_millis(1) })
+            .with_deadline(Duration::from_secs(30));
+        for _ in 0..CALLS {
+            assert_eq!(client.healthz().expect("answered").status, "ok");
+        }
+        server.join().unwrap();
+    }
 
     #[test]
     fn errors_render_usefully() {

@@ -1168,6 +1168,11 @@ impl Core {
     }
 
     fn service_store_port(&mut self, uncore: &mut Uncore, force: bool) {
+        // An entry leaves the buffer only when its write completes, so an
+        // empty buffer has no drain in flight and none to start.
+        if self.sb.is_empty() {
+            return;
+        }
         if let Some(BusResult::Done) = uncore.take_done(self.store_port()) {
             self.sb.finish_drain();
         }

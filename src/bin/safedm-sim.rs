@@ -95,6 +95,21 @@ use safedm_bench::{args, service};
 // copies). `args::value`, `args::flag`, `args::u64_or`, … below all refer
 // to that module.
 
+/// Every flag of this CLI that takes no value (each `args::flag` below),
+/// so that a positional argument may follow one.
+const SWITCHES: &[&str] = &[
+    "--events-timing",
+    "--gate",
+    "--help",
+    "--json",
+    "--jsonl",
+    "--list-kernels",
+    "--pair",
+    "--profile",
+    "--progress",
+    "--verify",
+];
+
 fn usage() -> &'static str {
     "usage: safedm-sim <program.s | --kernel NAME | --list-kernels>\n\
      \x20      [--base ADDR] [--stagger NOPS [--delayed-core 0|1]]\n\
@@ -125,10 +140,7 @@ fn usage() -> &'static str {
 /// Resolves the positional target of a subcommand: a built-in kernel name
 /// first, then a RISC-V source file path.
 fn resolve_target(args: &[String], base: u64) -> Result<(String, Program), String> {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !args::is_flag_value(args, a))
-        .ok_or_else(|| usage().to_owned())?;
+    let target = args::positional(args, SWITCHES).ok_or_else(|| usage().to_owned())?;
     if let Some(k) = kernels::by_name(target) {
         return Ok((target.clone(), build_kernel_program(k, &HarnessConfig::default())));
     }
@@ -444,10 +456,7 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
         let (prog, cfg) = kernel_setup(k, stagger_nops, &levels);
         (kname, prog, cfg)
     } else {
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--") && *a != "analyze" && !args::is_flag_value(args, a))
-            .ok_or_else(|| usage().to_owned())?;
+        let path = args::positional(args, SWITCHES).ok_or_else(|| usage().to_owned())?;
         if gate && stagger_nops.is_some() {
             return Err(
                 "--gate with --stagger needs --kernel (the harness builds the sled)".to_owned()
@@ -709,9 +718,7 @@ fn run_transform(args: &[String]) -> Result<(), String> {
     let tcfg = twin_config(args)?;
     let verify = args::flag(args, "--verify");
     let kname = args::value(args, "--kernel")
-        .or_else(|| {
-            args.iter().find(|a| !a.starts_with("--") && !args::is_flag_value(args, a)).cloned()
-        })
+        .or_else(|| args::positional(args, SWITCHES).cloned())
         .ok_or_else(|| "transform needs a kernel name or `all` (see --list-kernels)".to_owned())?;
     let list: Vec<&safedm::tacle::Kernel> = if kname == "all" {
         kernels::all().iter().collect()
@@ -848,10 +855,7 @@ fn run() -> Result<(), String> {
         let prog = build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() });
         (kname, prog, Some((k.reference)()))
     } else {
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--") && !args::is_flag_value(&args, a))
-            .ok_or_else(|| usage().to_owned())?;
+        let path = args::positional(&args, SWITCHES).ok_or_else(|| usage().to_owned())?;
         if stagger.is_some() {
             return Err("--stagger is only supported with --kernel (the harness builds the sled)"
                 .to_owned());
@@ -983,7 +987,32 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
+/// Restores the default action of `SIGPIPE`, which the Rust runtime
+/// ignores: a closed stdout (`safedm-sim … | head`) then ends the program
+/// quietly, as it does any Unix filter, where `println!` would panic.
+#[cfg(unix)]
+fn exit_quietly_on_closed_stdout() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: sets the disposition of one signal to its default; no
+    // handler runs Rust code.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn exit_quietly_on_closed_stdout() {}
+
 fn main() -> ExitCode {
+    // `serve` keeps `SIGPIPE` ignored: a client that hangs up must end its
+    // own connection with an I/O error, not the server.
+    if std::env::args().nth(1).as_deref() != Some("serve") {
+        exit_quietly_on_closed_stdout();
+    }
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

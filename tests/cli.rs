@@ -1,10 +1,12 @@
 //! The `safedm-sim` command line end to end: the `--engine` flag of the
 //! kernel run and of `campaign`, which reads the retired `hybrid` name as
-//! the cycle engine, the `campaign --events-out` → `report` pipeline, and
-//! the `analyze` sweep and `--gate` check.
+//! the cycle engine, the `campaign --events-out` → `report` pipeline, the
+//! `analyze` sweep and `--gate` check, switches before a positional path,
+//! and a stdout closed early.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn sim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_safedm-sim"))
@@ -109,11 +111,13 @@ fn report_renders_a_campaign_event_stream() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("report needs --events FILE"));
 }
 
+const SPIN_THEN_IDLE: &str =
+    "li t0, 200\nspin: addi t0, t0, -1\nbnez t0, spin\nidle: nop\nj idle\n";
+
 #[test]
 fn analyze_gate_confirms_an_idle_loop() {
     let src = tmp("spin-then-idle.s");
-    std::fs::write(&src, "li t0, 200\nspin: addi t0, t0, -1\nbnez t0, spin\nidle: nop\nj idle\n")
-        .expect("write program");
+    std::fs::write(&src, SPIN_THEN_IDLE).expect("write program");
     // The idle loop never halts: the cycle budget ends the run.
     let out = sim()
         .arg("analyze")
@@ -135,4 +139,51 @@ fn analyze_kernel_all_sweeps_every_kernel() {
     let stdout = checked(out, "analyze --kernel all");
     let kernels = stdout.lines().filter(|l| l.contains(" stagger=0 points=")).count();
     assert_eq!(kernels, 29, "{stdout}");
+}
+
+#[test]
+fn a_switch_may_come_before_the_program_path() {
+    let src = tmp("switch-order.s");
+    std::fs::write(&src, SPIN_THEN_IDLE).expect("write program");
+    let run = |before: bool| {
+        let mut cmd = sim();
+        cmd.arg("analyze");
+        if before {
+            cmd.arg("--gate").arg(&src);
+        } else {
+            cmd.arg(&src).arg("--gate");
+        }
+        let out = cmd.args(["--max-cycles", "100000"]).output().expect("run safedm-sim");
+        checked(out, &format!("analyze --gate (switch first: {before})"))
+    };
+    let (first, last) = (run(true), run(false));
+    let _ = std::fs::remove_file(&src);
+    assert!(last.contains("CONFIRMED"), "{last}");
+    assert_eq!(first, last);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_program_quietly() {
+    // 300 loops give about 150 KiB of findings, more than a pipe holds, so
+    // the program is still writing when the reader goes away.
+    let src = tmp("many-loops.s");
+    let loops: Vec<String> =
+        (0..300).map(|i| format!("li t0, 3\nl{i}: addi t0, t0, -1\nbnez t0, l{i}\n")).collect();
+    std::fs::write(&src, loops.concat() + "ebreak\n").expect("write program");
+    let mut child = sim()
+        .arg("analyze")
+        .arg(&src)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run safedm-sim");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("first line");
+    assert!(line.starts_with("static diversity analysis"), "{line}");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for safedm-sim");
+    let _ = std::fs::remove_file(&src);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

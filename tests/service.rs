@@ -7,6 +7,8 @@
 //! entirely from the content-addressed result cache — same bytes, zero
 //! re-simulation.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -258,4 +260,123 @@ fn invalid_specs_and_unknown_campaigns_are_client_errors() {
         Err(SdkError::Http { status: 404, .. }) => {}
         other => panic!("expected 404, got {other:?}"),
     }
+}
+
+/// Reads one response off a raw connection: the status line, lowercased
+/// headers, and the body its framing delimits (`Content-Length` or
+/// chunked; a response without either fails the test).
+fn read_response(conn: &mut impl BufRead) -> (String, Vec<(String, String)>, String) {
+    let mut status = String::new();
+    conn.read_line(&mut status).expect("status line");
+    let mut headers = Vec::new();
+    loop {
+        let mut h = String::new();
+        conn.read_line(&mut h).expect("header");
+        let Some((name, value)) = h.trim_end().split_once(':') else { break };
+        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
+    }
+    let header = |name: &str| headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone());
+    let mut body = Vec::new();
+    if header("transfer-encoding").as_deref() == Some("chunked") {
+        loop {
+            let mut size = String::new();
+            conn.read_line(&mut size).expect("chunk size");
+            let size = usize::from_str_radix(size.trim_end(), 16).expect("hex chunk size");
+            let mut chunk = vec![0u8; size + 2];
+            conn.read_exact(&mut chunk).expect("chunk");
+            assert!(chunk.ends_with(b"\r\n"), "chunk not terminated");
+            if size == 0 {
+                break;
+            }
+            body.extend_from_slice(&chunk[..size]);
+        }
+    } else {
+        let len = header("content-length").expect("framed response").parse().expect("length");
+        body.resize(len, 0);
+        conn.read_exact(&mut body).expect("body");
+    }
+    (status.trim_end().to_owned(), headers, String::from_utf8(body).expect("utf-8 body"))
+}
+
+fn raw_connection(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(300))).expect("read timeout");
+    let reader = BufReader::new(conn.try_clone().expect("clone"));
+    (conn, reader)
+}
+
+#[test]
+fn one_connection_answers_back_to_back_requests_in_order() {
+    let addr = spawn_server();
+    let (mut conn, mut reader) = raw_connection(&addr);
+    let spec = CampaignSpec {
+        kernels: vec!["fac".to_owned()],
+        staggers: vec![0],
+        jobs: Some(1),
+        ..four_cell_spec()
+    };
+    let local = service::run_spec(&spec, &RunOptions::default()).expect("local run");
+    let spec = spec.canonical_json();
+
+    // A submission and a health check in one write.
+    let submit =
+        format!("POST /v1/campaigns HTTP/1.1\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
+    conn.write_all(format!("{submit}GET /v1/healthz HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
+    let (status, headers, body) = read_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 201 Created");
+    assert!(body.contains(r#""id":"c1""#), "{body}");
+    assert!(headers.iter().all(|(n, _)| n != "connection"), "{headers:?}");
+    let (status, _, body) = read_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(body.contains(r#""status":"ok""#), "{body}");
+
+    // The chunked event stream, then the result, in one write.
+    conn.write_all(
+        b"GET /v1/campaigns/c1/events HTTP/1.1\r\n\r\nGET /v1/campaigns/c1/result HTTP/1.1\r\n\r\n",
+    )
+    .unwrap();
+    let (status, _, events) = read_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(events.lines().collect::<Vec<_>>(), local.lines, "served stream differs");
+    let (status, _, result) = read_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(result.contains(r#""status":"done""#), "{result}");
+}
+
+#[test]
+fn a_connection_ends_after_a_close_request_or_a_bad_one() {
+    let addr = spawn_server();
+    let (mut conn, mut reader) = raw_connection(&addr);
+    conn.write_all(b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+    let (status, headers, _) = read_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(headers.contains(&("connection".to_owned(), "close".to_owned())), "{headers:?}");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("EOF after the response");
+    assert!(rest.is_empty());
+
+    // A request line without a path: a 400, then the connection ends.
+    let (mut conn, mut reader) = raw_connection(&addr);
+    conn.write_all(b"GET\r\n\r\n").unwrap();
+    let (status, headers, body) = read_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(body.contains("no path"), "{body}");
+    assert!(headers.contains(&("connection".to_owned(), "close".to_owned())), "{headers:?}");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("EOF after the 400");
+    assert!(rest.is_empty());
+
+    // A request head over the 16 KiB limit: a 400, then the connection
+    // ends (the server may reset it, as the client's bytes go unread).
+    let (mut conn, mut reader) = raw_connection(&addr);
+    let filler = "x".repeat(17 * 1024);
+    conn.write_all(format!("GET /v1/healthz HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n").as_bytes())
+        .unwrap();
+    let (status, headers, body) = read_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(body.contains("too large"), "{body}");
+    assert!(headers.contains(&("connection".to_owned(), "close".to_owned())), "{headers:?}");
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty());
 }
