@@ -6,7 +6,7 @@
 //!
 //! | method | path | semantics |
 //! |---|---|---|
-//! | `POST` | `/v1/campaigns` | submit a [`CampaignSpec`]; `201` with the campaign id |
+//! | `POST` | `/v1/campaigns` | submit a [`CampaignSpec`]; `201` with the campaign id once its cached cells are replayed, `400` naming the field a spec violates |
 //! | `GET` | `/v1/campaigns/{id}/events` | chunked `application/x-ndjson` stream of per-cell [`CellEvent`](safedm_obs::events::CellEvent) lines, in cell order, as they complete |
 //! | `GET` | `/v1/campaigns/{id}/result` | status + cache counters (`running` until done) |
 //! | `DELETE` | `/v1/campaigns/{id}` | cancel: raise the job's stop flag; `202` with `canceling` (or the final status when already done) |
@@ -19,12 +19,21 @@
 //! a malformed or oversized request, or when no request arrives within
 //! [`IDLE_TIMEOUT`]. Every response is framed (`Content-Length` or
 //! chunked), so the next response on the connection starts where it ends;
-//! the last one on a connection says `Connection: close`. Campaign cells
-//! execute on the shared `safedm-campaign` pool via [`crate::service`],
-//! fronted by one server-wide content-addressed [`ResultCache`]. The
-//! streamed lines are the cells' [`Timing::Strip`]-serialised events —
-//! byte-identical to a local `--events-out` run of the same spec (see
-//! `crate::service` for the argument).
+//! the last one on a connection says `Connection: close`.
+//!
+//! A campaign runs through [`crate::service`], fronted by one server-wide
+//! content-addressed [`ResultCache`]. The handler that receives a `POST`
+//! replays the cached cells itself (`service::replay`) before it answers
+//! `201`: a campaign the cache held entirely is finished then, and no
+//! thread starts for it. Otherwise one runner thread simulates the pending
+//! cells on the shared `safedm-campaign` pool (`service::compute`). The
+//! `201` thus waits for one cache lookup per cell, which the spec's cell
+//! bound ([`safedm_campaign::spec::MAX_CELLS`]) caps. A job finishes
+//! through a drop guard, so a panic in either step still ends its stream
+//! and reports it `failed`. The streamed lines are the cells'
+//! [`Timing::Strip`]-serialised events — byte-identical to a local
+//! `--events-out` run of the same spec (see `crate::service` for the
+//! argument).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -35,10 +44,9 @@ use std::time::Duration;
 
 use safedm_campaign::cache::ResultCache;
 use safedm_campaign::spec::{CampaignSpec, CODE_VERSION, SCHEMA};
-use safedm_campaign::Progress;
 use safedm_obs::json::JsonValue;
 
-use crate::service::{self, RunOptions};
+use crate::service::{self, Prepared, Replay, RunOptions, RunOutcome};
 
 /// Maximum request head (request line + headers) the server will read.
 const MAX_HEAD: usize = 16 * 1024;
@@ -94,17 +102,64 @@ struct Job {
     stop: AtomicBool,
 }
 
-impl Job {
-    fn finish(&self, update: impl FnOnce(&mut JobInner)) {
-        let mut inner = lock(&self.inner);
-        update(&mut inner);
+/// A job's campaign run: its steps use the server's cache, the job's line
+/// buffer as their sink, and its stop flag. Dropping the run finishes the
+/// job — with the outcome [`JobRun::finish`] recorded, or as `failed` when
+/// there is none because a step panicked — so its streams always end.
+struct JobRun {
+    job: Arc<Job>,
+    cache: Arc<Mutex<ResultCache>>,
+    outcome: Option<Result<RunOutcome, String>>,
+}
+
+impl JobRun {
+    fn step<R>(&self, f: impl FnOnce(&RunOptions) -> R) -> R {
+        let sink = |_: usize, line: &str| {
+            lock(&self.job.inner).lines.push(line.to_owned());
+            self.job.cond.notify_all();
+        };
+        f(&RunOptions {
+            cache: Some(&self.cache),
+            progress: None,
+            on_line: Some(&sink),
+            stop: Some(&self.job.stop),
+        })
+    }
+
+    /// Computes the cells `replay` left pending; the job is done on return.
+    fn finish(mut self, prepared: &Prepared, replay: Replay) {
+        self.outcome = Some(self.step(|opts| service::compute(prepared, replay, opts)));
+    }
+}
+
+impl Drop for JobRun {
+    fn drop(&mut self) {
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            Err("the campaign panicked (the server's stderr has the message)".to_owned())
+        });
+        let mut inner = lock(&self.job.inner);
+        match outcome {
+            Ok(outcome) => {
+                inner.all_ok = outcome.all_ok;
+                inner.canceled = outcome.canceled;
+                inner.hits = outcome.cache.hits + outcome.cache.disk_hits;
+                inner.misses = outcome.cache.misses;
+            }
+            Err(e) => {
+                inner.all_ok = false;
+                inner.error = Some(e);
+            }
+        }
         inner.done = true;
-        self.cond.notify_all();
+        self.job.cond.notify_all();
     }
 }
 
 struct State {
     jobs: usize,
+    /// Enumerates a submitted spec: [`service::prepare`] (tests make a cell
+    /// fail).
+    prepare: fn(&CampaignSpec) -> Result<Prepared, String>,
     // `Arc` so runner threads (which are `'static`) can share the one
     // server-wide cache with the accept loop.
     cache: Arc<Mutex<ResultCache>>,
@@ -139,6 +194,7 @@ impl Server {
             listener,
             state: Arc::new(State {
                 jobs: cfg.jobs.max(1),
+                prepare: service::prepare,
                 cache: Arc::new(Mutex::new(cache)),
                 campaigns: Mutex::new(HashMap::new()),
                 next_id: AtomicU64::new(1),
@@ -368,7 +424,7 @@ fn post_campaign(out: &mut Reply, state: &State, body: &str) -> std::io::Result<
         jobs: Some(spec.jobs.map_or(state.jobs as u64, |j| j.min(state.jobs as u64)).max(1)),
         ..spec
     };
-    let prepared = match service::prepare(&clamped) {
+    let prepared = match (state.prepare)(&clamped) {
         Ok(p) => p,
         Err(e) => return write_error(out, 400, "Bad Request", &e),
     };
@@ -391,34 +447,15 @@ fn post_campaign(out: &mut Reply, state: &State, body: &str) -> std::io::Result<
 
     let digest = clamped.digest();
     let total = prepared.cells.len() as u64;
-    {
-        // Runner thread: cells on the campaign pool, lines into the job
-        // buffer in index order as their prefix completes.
-        let job = Arc::clone(&job);
-        let cache = Arc::clone(&state.cache);
-        std::thread::spawn(move || {
-            let sink = |_i: usize, line: &str| {
-                let mut inner = lock(&job.inner);
-                inner.lines.push(line.to_owned());
-                job.cond.notify_all();
-            };
-            let progress = Progress::new(false, prepared.cells.len());
-            let opts = RunOptions {
-                cache: Some(&cache),
-                progress: Some(&progress),
-                on_line: Some(&sink),
-                stop: Some(&job.stop),
-            };
-            match service::run(&prepared, &opts) {
-                Ok(outcome) => job.finish(|inner| {
-                    inner.all_ok = outcome.all_ok;
-                    inner.canceled = outcome.canceled;
-                    inner.hits = outcome.cache.hits + outcome.cache.disk_hits;
-                    inner.misses = outcome.cache.misses;
-                }),
-                Err(e) => job.finish(|inner| inner.error = Some(e)),
-            }
-        });
+    // The cached cells replay on this thread. A campaign the cache held
+    // entirely is done before its `201`; only one with pending cells starts
+    // a runner thread, which computes them on the campaign pool.
+    let run = JobRun { job, cache: Arc::clone(&state.cache), outcome: None };
+    let replay = run.step(|opts| service::replay(&prepared, opts));
+    if replay.pending().is_empty() {
+        run.finish(&prepared, replay);
+    } else {
+        std::thread::spawn(move || run.finish(&prepared, replay));
     }
 
     let body = json_body(vec![
@@ -532,6 +569,8 @@ fn get_result(out: &mut Reply, state: &State, id: u64) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use safedm_obs::events::CellEvent;
+    use safedm_sdk::Client;
     use std::time::Instant;
 
     #[test]
@@ -564,5 +603,40 @@ mod tests {
         let rest = String::from_utf8(rest).expect("utf-8 response");
         assert!(rest.starts_with("HTTP/1.1 200 OK\r\n"), "{rest}");
         assert!(rest.ends_with('}'), "one complete response, then EOF: {rest}");
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_its_campaign_and_ends_its_stream() {
+        let mut server = Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            jobs: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        // Cell 1 of every campaign panics.
+        Arc::get_mut(&mut server.state).expect("not shared yet").prepare = |spec| {
+            let mut prepared = service::prepare(spec)?;
+            prepared.cells[1].compute = Box::new(|| -> CellEvent { panic!("injected cell fault") });
+            Ok(prepared)
+        };
+        let addr = server.local_addr().expect("local addr");
+        std::thread::spawn(move || server.run());
+
+        // The deadline turns a stream that never ends into a failure.
+        let client = Client::new(addr).with_deadline(Duration::from_secs(30));
+        let spec = CampaignSpec {
+            kernels: vec!["fac".to_owned()],
+            staggers: vec![0],
+            runs: 2,
+            ..CampaignSpec::default()
+        };
+        let sub = client.submit(&spec).expect("submit");
+        let lines = client.stream_events(&sub.id).expect("the stream ends");
+        assert_eq!(lines.len(), 1, "cell 0's line, then the end: {lines:?}");
+        let result = client.result(&sub.id).expect("result");
+        assert_eq!(result.status, "failed");
+        assert!(!result.ok);
+        assert!(result.error.as_deref().is_some_and(|e| e.contains("panicked")), "{result:?}");
+        assert_eq!(client.healthz().expect("the server still answers").status, "ok");
     }
 }

@@ -9,11 +9,21 @@
 //! [`prepare`] turns a spec into a [`Prepared`] campaign — a validated,
 //! protocol-dispatched list of [`CellTask`]s, each pairing a
 //! [`CellSpec`] identity with a closure that simulates exactly that cell.
-//! [`run`] executes a prepared campaign: cache hits replay their stored
-//! JSONL line verbatim, misses run on the pool, and every line is
-//! published to the caller **in cell-index order** as soon as its prefix
-//! is complete (the ordered-prefix publisher the event stream endpoint
-//! relies on).
+//! [`run`] executes a prepared campaign in two steps, which the HTTP
+//! service also calls apart:
+//!
+//! * `replay` looks every cell up in the cache under one lock and
+//!   publishes the hits' stored JSONL lines verbatim. It simulates nothing
+//!   and assembles no program, so the server runs it on the thread that
+//!   received the campaign.
+//! * `compute` runs the cells the replay left pending on the pool, then
+//!   assembles the outcome.
+//!
+//! Every line is published to the caller **in cell-index order** as soon
+//! as its prefix is complete (the ordered-prefix publisher the event
+//! stream endpoint relies on). A grid setup's program is assembled by the
+//! first of its cells that simulates, so a campaign replayed from the
+//! cache assembles none.
 //!
 //! ## Byte-identity
 //!
@@ -32,7 +42,7 @@
 //! serving a hit without re-simulation is sound, not heuristic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use safedm_campaign::cache::{CacheStats, ResultCache};
 use safedm_campaign::spec::{CampaignSpec, CellSpec, Protocol};
@@ -60,7 +70,7 @@ pub type LineSink<'a> = &'a (dyn Fn(usize, &str) + Sync);
 pub struct CellTask {
     /// The cell's identity (digested for the cache key).
     pub spec: CellSpec,
-    compute: CellFn,
+    pub(crate) compute: CellFn,
 }
 
 /// A validated, enumerated campaign ready to [`run`].
@@ -143,6 +153,24 @@ pub fn prepare(spec: &CampaignSpec) -> Result<Prepared, String> {
     Ok(Prepared { spec: spec.clone(), engine, jobs, cells })
 }
 
+/// One (kernel, stagger) setup of a grid, shared by its runs. Its program
+/// is assembled by the first of those runs that simulates, so a campaign
+/// replayed from the cache assembles none.
+struct GridSetup {
+    kernel: &'static Kernel,
+    stagger: Option<StaggerConfig>,
+    program: OnceLock<safedm_asm::Program>,
+}
+
+impl GridSetup {
+    fn program(&self) -> &safedm_asm::Program {
+        self.program.get_or_init(|| {
+            let harness = HarnessConfig { stagger: self.stagger, ..HarnessConfig::default() };
+            build_kernel_program(self.kernel, &harness)
+        })
+    }
+}
+
 /// The grid protocol: kernel × stagger × run, `SafeDmConfig::default()`,
 /// monitored from reset ([`Window::FromReset`]), the delayed core being
 /// core 1.
@@ -162,31 +190,31 @@ fn prepare_grid(
         runs,
         root_seed,
     };
-    // One pre-decoded program per (kernel, stagger) setup, shared by all of
-    // that setup's runs. Setup index = cell.index / runs in the canonical
-    // kernel-major, run-minor order (configs axis has length 1).
-    let mut setups: Vec<(Option<StaggerConfig>, Arc<safedm_asm::Program>)> =
-        Vec::with_capacity(grid.kernels.len() * grid.staggers.len());
-    for k in &grid.kernels {
-        for &nops in &grid.staggers {
-            let stagger = (nops > 0).then_some(StaggerConfig {
-                nops: usize::try_from(nops).unwrap_or(usize::MAX),
-                delayed_core: 1,
-            });
-            let harness = HarnessConfig { stagger, ..HarnessConfig::default() };
-            setups.push((stagger, Arc::new(build_kernel_program(k, &harness))));
-        }
-    }
+    // One setup per (kernel, stagger), shared by all of that setup's runs.
+    // Setup index = cell.index / runs in the canonical kernel-major,
+    // run-minor order (configs axis has length 1).
+    let setups: Vec<Arc<GridSetup>> = grid
+        .kernels
+        .iter()
+        .flat_map(|&kernel| {
+            grid.staggers.iter().map(move |&nops| {
+                let stagger = (nops > 0).then_some(StaggerConfig {
+                    nops: usize::try_from(nops).unwrap_or(usize::MAX),
+                    delayed_core: 1,
+                });
+                Arc::new(GridSetup { kernel, stagger, program: OnceLock::new() })
+            })
+        })
+        .collect();
     Ok(grid
         .cells()
         .into_iter()
         .map(|cell| {
-            let (stagger, prog) = setups[cell.index / runs].clone();
-            let kernel: &'static Kernel = cell.kernel;
+            let setup = Arc::clone(&setups[cell.index / runs]);
             let config = format!("nops={}", cell.stagger);
             let cell_spec = CellSpec {
                 protocol: Protocol::Grid,
-                kernel: kernel.name.to_owned(),
+                kernel: cell.kernel.name.to_owned(),
                 config: config.clone(),
                 run: cell.run as u64,
                 seed: cell.seed,
@@ -194,7 +222,8 @@ fn prepare_grid(
             };
             let (index, seed, run, dm_cfg) = (cell.index as u64, cell.seed, cell.run, cell.config);
             let compute: CellFn = Box::new(move || {
-                run_cell(engine, kernel, &prog, stagger, seed, Window::FromReset, dm_cfg)
+                let (kernel, stagger) = (setup.kernel, setup.stagger);
+                run_cell(engine, kernel, setup.program(), stagger, seed, Window::FromReset, dm_cfg)
                     .event(index, &config, engine, run as u64)
             });
             CellTask { spec: cell_spec, compute }
@@ -297,18 +326,18 @@ fn prepare_ccf(spec: &CampaignSpec, ks: &[&'static Kernel], engine: Engine) -> V
 
 /// The ordered-prefix publisher: cells complete in scheduling order, lines
 /// publish in index order.
-struct Publisher<'a> {
+struct Publisher {
+    /// One slot per cell: its line once replayed or computed.
     slots: Vec<Option<String>>,
+    /// The index of the next line to publish.
     next: usize,
-    on_line: Option<LineSink<'a>>,
 }
 
-impl Publisher<'_> {
-    fn fill(&mut self, index: usize, line: String) {
-        self.slots[index] = Some(line);
-        while self.next < self.slots.len() {
-            let Some(line) = self.slots[self.next].as_ref() else { break };
-            if let Some(f) = self.on_line {
+impl Publisher {
+    /// Publishes every line whose prefix is now complete.
+    fn publish(&mut self, on_line: Option<LineSink>) {
+        while let Some(Some(line)) = self.slots.get(self.next) {
+            if let Some(f) = on_line {
                 f(self.next, line);
             }
             self.next += 1;
@@ -316,8 +345,57 @@ impl Publisher<'_> {
     }
 }
 
-/// Executes a prepared campaign: cache hits replay their stored lines,
-/// misses run on the pool, lines publish in index order.
+/// What [`replay`] leaves for [`compute`]: the replayed lines, this run's
+/// hit counts and the cells the cache did not hold.
+pub(crate) struct Replay {
+    publisher: Publisher,
+    cache: CacheStats,
+    pending: Vec<usize>,
+}
+
+impl Replay {
+    /// The cells [`compute`] has to simulate, in index order. Empty when the
+    /// cache held every cell.
+    #[must_use]
+    pub(crate) fn pending(&self) -> &[usize] {
+        &self.pending
+    }
+}
+
+/// The first step of [`run`]: one cache lookup per cell, all under one
+/// lock, then the hits' stored lines published in index order. Simulates
+/// nothing and assembles no program.
+pub(crate) fn replay(prepared: &Prepared, opts: &RunOptions) -> Replay {
+    let mut publisher = Publisher { slots: vec![None; prepared.cells.len()], next: 0 };
+    // The cache is shared between concurrent campaigns, so this run's hit
+    // counters are the stats delta across the *held lock* — a global
+    // before/after snapshot would absorb other campaigns' traffic.
+    let mut stats = CacheStats::default();
+    if let Some(cache) = opts.cache {
+        let mut cache = lock(cache);
+        let before = cache.stats();
+        for (slot, cell) in publisher.slots.iter_mut().zip(&prepared.cells) {
+            *slot = cache.get(cell.spec.digest());
+        }
+        let after = cache.stats();
+        stats.hits = after.hits - before.hits;
+        stats.disk_hits = after.disk_hits - before.disk_hits;
+    }
+    let mut pending = Vec::new();
+    for (i, slot) in publisher.slots.iter().enumerate() {
+        match (slot, opts.progress) {
+            (None, _) => pending.push(i),
+            (Some(_), Some(p)) => p.cell_done(&prepared.cells[i].spec.kernel),
+            (Some(_), None) => {}
+        }
+    }
+    publisher.publish(opts.on_line);
+    Replay { publisher, cache: stats, pending }
+}
+
+/// The second step of [`run`]: simulates the cells `replay` left pending
+/// on the pool, publishing each line as its prefix completes, then
+/// assembles the outcome from the replayed and computed cells.
 ///
 /// # Errors
 ///
@@ -327,46 +405,21 @@ impl Publisher<'_> {
 /// # Panics
 ///
 /// Panics if a cell's simulation panics (propagated from the pool).
-pub fn run(prepared: &Prepared, opts: &RunOptions) -> Result<RunOutcome, String> {
-    let n = prepared.cells.len();
+pub(crate) fn compute(
+    prepared: &Prepared,
+    replay: Replay,
+    opts: &RunOptions,
+) -> Result<RunOutcome, String> {
+    let Replay { publisher, cache: mut run_stats, pending } = replay;
 
-    // Phase 1: consult the cache, prefilling hit slots. The cache is
-    // shared between concurrent campaigns, so this run's hit counters are
-    // the stats delta across the *held lock* — a global before/after
-    // snapshot would absorb other campaigns' traffic.
-    let mut run_stats = CacheStats::default();
-    let mut slots: Vec<Option<String>> = vec![None; n];
-    if let Some(cache) = opts.cache {
-        let mut cache = lock(cache);
-        let before = cache.stats();
-        for (i, cell) in prepared.cells.iter().enumerate() {
-            slots[i] = cache.get(cell.spec.digest());
-        }
-        let after = cache.stats();
-        run_stats.hits = after.hits - before.hits;
-        run_stats.disk_hits = after.disk_hits - before.disk_hits;
-    }
-    let publisher = Mutex::new(Publisher { slots: vec![None; n], next: 0, on_line: opts.on_line });
-    let mut hit_lines: Vec<Option<String>> = vec![None; n];
-    for (i, slot) in slots.into_iter().enumerate() {
-        if let Some(line) = slot {
-            if let Some(p) = opts.progress {
-                p.cell_done(&prepared.cells[i].spec.kernel);
-            }
-            lock(&publisher).fill(i, line.clone());
-            hit_lines[i] = Some(line);
-        }
-    }
-
-    // Phase 2: run the misses on the pool. Each worker checks the stop
-    // flag before starting its cell; past that point it serialises its
-    // event, stores it, and publishes through the ordered-prefix state.
-    // A skipped cell yields `None` — nothing simulated, cached, or
-    // published.
-    let misses: Vec<usize> = (0..n).filter(|&i| hit_lines[i].is_none()).collect();
+    // Each worker checks the stop flag before starting its cell; past that
+    // point it serialises its event, stores it, and publishes through the
+    // ordered-prefix state. A skipped cell yields `None` — nothing
+    // simulated, cached, or published.
+    let publisher = Mutex::new(publisher);
     let (computed, timings) = par_map_timed_observed(
         prepared.jobs,
-        &misses,
+        &pending,
         |_, &i| {
             if opts.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
                 return None;
@@ -376,29 +429,30 @@ pub fn run(prepared: &Prepared, opts: &RunOptions) -> Result<RunOutcome, String>
             if let Some(cache) = opts.cache {
                 lock(cache).put(prepared.cells[i].spec.digest(), &line);
             }
-            lock(&publisher).fill(i, line.clone());
-            Some((ev, line))
+            let mut publisher = lock(&publisher);
+            publisher.slots[i] = Some(line);
+            publisher.publish(opts.on_line);
+            Some(ev)
         },
         |j, _| {
             if let Some(p) = opts.progress {
-                p.cell_done(&prepared.cells[misses[j]].spec.kernel);
+                p.cell_done(&prepared.cells[pending[j]].spec.kernel);
             }
         },
     );
 
-    // Phase 3: assemble ordered events and lines from the completed cells
-    // (hits plus computed misses). Note the published stream stays a
-    // contiguous index prefix — a skipped cell blocks later lines from
-    // the sink even if they are present here.
-    let mut events: Vec<Option<CellEvent>> = vec![None; n];
-    let mut lines: Vec<Option<String>> = hit_lines;
+    // Assemble ordered events and lines from the completed cells (hits
+    // plus computed misses). Note the published stream stays a contiguous
+    // index prefix — a skipped cell blocks later lines from the sink even
+    // if they are present here.
+    let lines = publisher.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner).slots;
+    let mut events: Vec<Option<CellEvent>> = vec![None; lines.len()];
     let mut skipped = 0u64;
-    for ((&i, slot), t) in misses.iter().zip(computed).zip(&timings) {
-        match slot {
-            Some((mut ev, line)) => {
+    for ((&i, ev), t) in pending.iter().zip(computed).zip(&timings) {
+        match ev {
+            Some(mut ev) => {
                 ev.wall_us = Some(duration_us(*t));
                 events[i] = Some(ev);
-                lines[i] = Some(line);
             }
             None => skipped += 1,
         }
@@ -427,10 +481,26 @@ pub fn run(prepared: &Prepared, opts: &RunOptions) -> Result<RunOutcome, String>
     // construction; evictions are a cache-wide property (see
     // `ResultCache::stats`), not attributable to one campaign, so they
     // stay 0 here.
-    run_stats.misses = misses.len() as u64 - skipped;
+    run_stats.misses = pending.len() as u64 - skipped;
     run_stats.inserts = if opts.cache.is_some() { run_stats.misses } else { 0 };
     let all_ok = events.iter().all(|e| e.ok);
     Ok(RunOutcome { events, lines, cache: run_stats, all_ok, canceled: skipped > 0 })
+}
+
+/// Executes a prepared campaign: cache hits replay their stored lines
+/// (`replay`), misses run on the pool (`compute`), lines publish in index
+/// order.
+///
+/// # Errors
+///
+/// Returns a message when a cached line does not parse back into an event
+/// (a corrupted on-disk cache entry).
+///
+/// # Panics
+///
+/// Panics if a cell's simulation panics (propagated from the pool).
+pub fn run(prepared: &Prepared, opts: &RunOptions) -> Result<RunOutcome, String> {
+    compute(prepared, replay(prepared, opts), opts)
 }
 
 /// [`prepare`] + [`run`] in one call.
@@ -522,6 +592,40 @@ mod tests {
         .unwrap();
         assert!(!replay.canceled, "no pending cell was skipped");
         assert_eq!(replay.lines, warm.lines);
+    }
+
+    #[test]
+    fn a_replay_publishes_the_hits_and_leaves_the_rest_pending() {
+        let cache = Mutex::new(ResultCache::new(64));
+        let cached = RunOptions { cache: Some(&cache), ..RunOptions::default() };
+        let first = run_spec(&CampaignSpec { runs: 1, ..small_spec() }, &cached).unwrap();
+
+        let seen = Mutex::new(Vec::new());
+        let sink = |i: usize, line: &str| lock(&seen).push((i, line.to_owned()));
+        let opts =
+            RunOptions { cache: Some(&cache), on_line: Some(&sink), ..RunOptions::default() };
+        let prepared = prepare(&small_spec()).unwrap();
+        let replayed = replay(&prepared, &opts);
+        assert_eq!(replayed.pending(), [1]);
+        assert_eq!(*lock(&seen), [(0, first.lines[0].clone())], "the hit publishes at once");
+        let out = compute(&prepared, replayed, &opts).unwrap();
+        assert_eq!((out.cache.hits, out.cache.misses), (1, 1));
+        assert_eq!(lock(&seen).iter().map(|(_, l)| l.clone()).collect::<Vec<_>>(), out.lines);
+    }
+
+    #[test]
+    fn cell_counts_match_the_prepared_cells() {
+        for protocol in [Protocol::Grid, Protocol::Table1, Protocol::Ccf] {
+            let spec = CampaignSpec {
+                protocol,
+                kernels: vec!["fac".to_owned(), "bitcount".to_owned()],
+                staggers: vec![0, 100, 1000],
+                runs: 3,
+                ..small_spec()
+            };
+            let cells = prepare(&spec).unwrap().cells.len() as u64;
+            assert_eq!(cells, spec.cell_count(), "protocol {protocol}");
+        }
     }
 
     #[test]

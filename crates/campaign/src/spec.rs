@@ -40,6 +40,22 @@ pub const SCHEMA: &str = "safedm-api/1";
 /// change.
 pub const CODE_VERSION: &str = concat!("safedm/", env!("CARGO_PKG_VERSION"));
 
+/// The largest stagger a spec may ask for, in nops: ten times the paper's
+/// largest setup (10,000 nops). The harness jumps over the sled with one
+/// `jal`, whose ±1 MiB reach ends at 262,142 nops; this bound stays well
+/// inside it and keeps the image a small part of the 16 MiB RAM window.
+pub const MAX_STAGGER: u64 = 100_000;
+
+/// The most cells one campaign may enumerate: 34 times the full Table I
+/// suite (29 kernels, 290 cells). A server replays a campaign's cached
+/// cells before it answers the submission, one lookup per cell, so this
+/// also bounds that wait.
+pub const MAX_CELLS: u64 = 10_000;
+
+/// Cells per kernel of [`Protocol::Table1`]: 4 runs at 0 nops and 2 at
+/// each of the three staggered setups.
+const TABLE1_CELLS_PER_KERNEL: u64 = 10;
+
 /// Which campaign protocol a spec requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Protocol {
@@ -290,7 +306,40 @@ impl CampaignSpec {
         if self.runs == 0 {
             return Err("spec field `runs` must be >= 1".to_owned());
         }
+        if self.protocol == Protocol::Grid {
+            if let Some(nops) = self.staggers.iter().find(|&&n| n > MAX_STAGGER) {
+                return Err(format!(
+                    "spec field `staggers` has {nops} nops, above the limit of {MAX_STAGGER}"
+                ));
+            }
+        }
+        let cells = self.cell_count();
+        if cells > MAX_CELLS {
+            let fields = match self.protocol {
+                Protocol::Grid => "`kernels` × `staggers` × `runs`".to_owned(),
+                Protocol::Table1 => format!("`kernels` × {TABLE1_CELLS_PER_KERNEL}"),
+                Protocol::Ccf => "`kernels`".to_owned(),
+            };
+            return Err(format!(
+                "spec asks for {cells} cells ({fields}), above the limit of {MAX_CELLS}"
+            ));
+        }
         Ok(())
+    }
+
+    /// How many cells the spec enumerates to (saturating at `u64::MAX`):
+    /// kernel × stagger × run for a grid, ten per kernel for Table I, one
+    /// per kernel for CCF.
+    #[must_use]
+    pub fn cell_count(&self) -> u64 {
+        let kernels = self.kernels.len() as u64;
+        match self.protocol {
+            Protocol::Grid => {
+                kernels.saturating_mul(self.staggers.len() as u64).saturating_mul(self.runs)
+            }
+            Protocol::Table1 => kernels.saturating_mul(TABLE1_CELLS_PER_KERNEL),
+            Protocol::Ccf => kernels,
+        }
     }
 
     /// The result-identity digest of the whole spec: a content hash over
@@ -422,6 +471,41 @@ mod tests {
         let err = CampaignSpec::parse_json(r#"{"staggers":"all"}"#).unwrap_err();
         assert!(err.contains("staggers"), "{err}");
         assert!(CampaignSpec::parse_json("not json").is_err());
+    }
+
+    #[test]
+    fn staggers_and_cell_counts_are_bounded() {
+        let one = CampaignSpec {
+            kernels: vec!["fac".to_owned()],
+            staggers: vec![0],
+            runs: 1,
+            ..CampaignSpec::default()
+        };
+        let at = |staggers: Vec<u64>, runs: u64| CampaignSpec { staggers, runs, ..one.clone() };
+        assert!(at(vec![0, MAX_STAGGER], MAX_CELLS / 2).validate().is_ok());
+        let err = at(vec![0, MAX_STAGGER + 1], 1).validate().unwrap_err();
+        assert!(
+            err.contains("`staggers`") && err.contains(&(MAX_STAGGER + 1).to_string()),
+            "{err}"
+        );
+        let err = at(vec![0, 100], MAX_CELLS / 2 + 1).validate().unwrap_err();
+        assert!(err.contains("`runs`") && err.contains(&(MAX_CELLS + 2).to_string()), "{err}");
+        // Products saturate instead of wrapping past the bound.
+        assert_eq!(at(vec![0, 100], u64::MAX).cell_count(), u64::MAX);
+        assert!(at(vec![0, 100], u64::MAX).validate().is_err());
+
+        // Table I pins ten cells per kernel and ignores `staggers`; CCF has
+        // one cell per kernel, whatever its trial count.
+        let table1 =
+            CampaignSpec { protocol: Protocol::Table1, staggers: vec![u64::MAX], ..one.clone() };
+        assert_eq!(table1.cell_count(), TABLE1_CELLS_PER_KERNEL);
+        assert!(table1.validate().is_ok());
+        let many = vec!["fac".to_owned(); (MAX_CELLS / TABLE1_CELLS_PER_KERNEL) as usize + 1];
+        let err = CampaignSpec { kernels: many, ..table1 }.validate().unwrap_err();
+        assert!(err.contains("`kernels`"), "{err}");
+        let ccf = CampaignSpec { protocol: Protocol::Ccf, runs: u64::MAX, ..one };
+        assert_eq!(ccf.cell_count(), 1);
+        assert!(ccf.validate().is_ok());
     }
 
     #[test]

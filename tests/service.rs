@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use safedm::campaign::cache::ResultCache;
-use safedm::campaign::spec::{CampaignSpec, CellSpec, Protocol};
+use safedm::campaign::spec::{CampaignSpec, CellSpec, Protocol, MAX_CELLS, MAX_STAGGER};
 use safedm_bench::http::{ServeConfig, Server};
 use safedm_bench::service::{self, RunOptions};
 use safedm_sdk::{Client, SdkError};
@@ -260,6 +260,77 @@ fn invalid_specs_and_unknown_campaigns_are_client_errors() {
         Err(SdkError::Http { status: 404, .. }) => {}
         other => panic!("expected 404, got {other:?}"),
     }
+}
+
+#[test]
+fn oversized_staggers_and_cell_counts_are_client_errors() {
+    let addr = spawn_server();
+    let client = Client::new(addr).with_deadline(Duration::from_secs(60));
+    // Each spec is just above its bound, so a server that accepted it would
+    // assemble one 400 KB sled or enumerate 10,001 cells, not more.
+    let base = CampaignSpec { kernels: vec!["fac".to_owned()], ..four_cell_spec() };
+    let too_far = CampaignSpec { staggers: vec![0, MAX_STAGGER + 1], ..base.clone() };
+    let too_many = CampaignSpec { staggers: vec![0], runs: MAX_CELLS + 1, ..base };
+    for (spec, field) in [(too_far, "`staggers`"), (too_many, "`runs`")] {
+        match client.submit(&spec) {
+            Err(SdkError::Http { status: 400, body }) => {
+                assert!(body.contains(field), "the error names {field}: {body}");
+            }
+            other => panic!("expected 400 for {field}, got {other:?}"),
+        }
+    }
+    assert_eq!(client.healthz().expect("healthz").status, "ok");
+}
+
+#[test]
+fn a_partly_cached_grid_computes_only_its_missing_cell() {
+    // One kernel, one stagger: cell 0 of `runs: 2` is cell 0 of `runs: 1`,
+    // so it replays, and cell 1 assembles its setup's program when it runs.
+    let addr = spawn_server();
+    let client = Client::new(addr).with_deadline(Duration::from_secs(300));
+    let one = CampaignSpec {
+        kernels: vec!["fac".to_owned()],
+        staggers: vec![100],
+        runs: 1,
+        jobs: Some(1),
+        ..four_cell_spec()
+    };
+    let two = CampaignSpec { runs: 2, ..one.clone() };
+    let local = service::run_spec(&two, &RunOptions::default()).expect("cold local run");
+
+    let first = client.run(&one).expect("one run");
+    assert_eq!((first.result.cache_hits, first.result.cache_misses), (0, 1));
+    let second = client.run(&two).expect("two runs");
+    assert_eq!(second.result.status, "done");
+    assert_eq!((second.result.cache_hits, second.result.cache_misses), (1, 1));
+    assert_eq!(second.lines, local.lines, "served stream must match a cold local run");
+}
+
+#[test]
+fn a_fully_cached_campaign_is_done_when_its_submission_is_answered() {
+    // Enough cells that a replay off the request's thread would still be
+    // running when the client's next request arrives.
+    const CELLS: u64 = 256;
+    let addr = spawn_server();
+    let client = Client::new(addr).with_deadline(Duration::from_secs(300));
+    let spec = CampaignSpec {
+        kernels: vec!["fac".to_owned()],
+        staggers: vec![0],
+        runs: CELLS,
+        ..four_cell_spec()
+    };
+    let cold = client.run(&spec).expect("cold campaign");
+    assert_eq!((cold.result.cache_hits, cold.result.cache_misses), (0, CELLS));
+
+    // The server replays every cell before it answers the `POST`: the
+    // result, fetched before any stream is read, is already final.
+    let sub = client.submit(&spec).expect("warm submission");
+    let result = client.result(&sub.id).expect("result");
+    assert_eq!(result.status, "done", "{result:?}");
+    assert_eq!((result.cache_hits, result.cache_misses), (CELLS, 0));
+    assert_eq!(result.completed, CELLS);
+    assert!(result.ok);
+    assert_eq!(client.stream_events(&sub.id).expect("events"), cold.lines);
 }
 
 /// Reads one response off a raw connection: the status line, lowercased
