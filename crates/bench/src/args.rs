@@ -15,6 +15,21 @@
 //! * [`or_exit`] / [`list_or_exit`] / [`jobs`] wrappers for binaries whose
 //!   contract is "print `error: …` and exit 2".
 
+/// Checks a stagger given as `flag` against the campaign specs'
+/// [`MAX_STAGGER`](safedm_campaign::spec::MAX_STAGGER), so that every entry
+/// point shares one limit.
+///
+/// # Errors
+///
+/// Returns a message naming `flag` and the limit when `nops` is above it.
+pub fn check_stagger(flag: &str, nops: u64) -> Result<u64, String> {
+    use safedm_campaign::spec::MAX_STAGGER;
+    if nops > MAX_STAGGER {
+        return Err(format!("{flag} {nops} is above the limit of {MAX_STAGGER} nops"));
+    }
+    Ok(nops)
+}
+
 /// The single error formatter every helper funnels through:
 /// `invalid value for FLAG: \`VALUE\` (expected EXPECTED)`.
 #[must_use]
@@ -206,6 +221,14 @@ mod tests {
         assert_eq!(err, invalid("--runs", "x", "a number"));
         let err = u64_or(&a, "--runs", 1).unwrap_err();
         assert_eq!(err, invalid("--runs", "x", "a number"));
+    }
+
+    #[test]
+    fn staggers_are_bounded_by_the_spec_limit() {
+        use safedm_campaign::spec::MAX_STAGGER;
+        assert_eq!(check_stagger("--nops", MAX_STAGGER), Ok(MAX_STAGGER));
+        let err = check_stagger("--nops", MAX_STAGGER + 1).unwrap_err();
+        assert!(err.starts_with("--nops ") && err.contains(&format!("limit of {MAX_STAGGER}")));
     }
 
     #[test]

@@ -198,6 +198,9 @@ fn main() -> ExitCode {
         None if quick => vec![0, 100],
         None => vec![0, 100, 1000, 10000],
     };
+    for &nops in &staggers {
+        args::or_exit(args::check_stagger("--staggers", nops));
+    }
 
     let mut targets: Vec<Target> = if quick {
         ["fac", "bitcount", "insertsort"]

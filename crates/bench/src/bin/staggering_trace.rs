@@ -30,7 +30,9 @@ struct WindowRow {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let kernel_name = args::value(&args, "--kernel").unwrap_or_else(|| "pm".to_owned());
-    let nops: usize = args::or_exit(args::parsed_or(&args, "--nops", 1000));
+    let nops = args::or_exit(
+        args::parsed_or(&args, "--nops", 1000).and_then(|n| args::check_stagger("--nops", n)),
+    ) as usize;
     let window: u64 = args::or_exit(args::parsed_or(&args, "--window", 256)).max(1);
 
     let k = kernels::by_name(&kernel_name).unwrap_or_else(|| {

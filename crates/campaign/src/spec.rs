@@ -52,6 +52,12 @@ pub const MAX_STAGGER: u64 = 100_000;
 /// also bounds that wait.
 pub const MAX_CELLS: u64 = 10_000;
 
+/// The most fault-injection trials one [`Protocol::Ccf`] cell may run
+/// (`runs`): about 80 times the `ccf_campaign` default of 120. A CCF cell
+/// runs its trials inline, so this bounds one cell's work the way
+/// [`MAX_CELLS`] bounds a campaign's.
+pub const MAX_CCF_TRIALS: u64 = 10_000;
+
 /// Cells per kernel of [`Protocol::Table1`]: 4 runs at 0 nops and 2 at
 /// each of the three staggered setups.
 const TABLE1_CELLS_PER_KERNEL: u64 = 10;
@@ -313,6 +319,13 @@ impl CampaignSpec {
                 ));
             }
         }
+        if self.protocol == Protocol::Ccf && self.runs > MAX_CCF_TRIALS {
+            return Err(format!(
+                "spec field `runs` asks for {} CCF trials per kernel, above the limit of \
+                 {MAX_CCF_TRIALS}",
+                self.runs
+            ));
+        }
         let cells = self.cell_count();
         if cells > MAX_CELLS {
             let fields = match self.protocol {
@@ -495,7 +508,7 @@ mod tests {
         assert!(at(vec![0, 100], u64::MAX).validate().is_err());
 
         // Table I pins ten cells per kernel and ignores `staggers`; CCF has
-        // one cell per kernel, whatever its trial count.
+        // one cell per kernel, and its trial count has a bound of its own.
         let table1 =
             CampaignSpec { protocol: Protocol::Table1, staggers: vec![u64::MAX], ..one.clone() };
         assert_eq!(table1.cell_count(), TABLE1_CELLS_PER_KERNEL);
@@ -503,9 +516,13 @@ mod tests {
         let many = vec!["fac".to_owned(); (MAX_CELLS / TABLE1_CELLS_PER_KERNEL) as usize + 1];
         let err = CampaignSpec { kernels: many, ..table1 }.validate().unwrap_err();
         assert!(err.contains("`kernels`"), "{err}");
-        let ccf = CampaignSpec { protocol: Protocol::Ccf, runs: u64::MAX, ..one };
-        assert_eq!(ccf.cell_count(), 1);
-        assert!(ccf.validate().is_ok());
+        let ccf = |runs| CampaignSpec { protocol: Protocol::Ccf, runs, ..one.clone() };
+        assert_eq!(ccf(u64::MAX).cell_count(), 1);
+        assert!(ccf(MAX_CCF_TRIALS).validate().is_ok());
+        for runs in [MAX_CCF_TRIALS + 1, u64::MAX] {
+            let err = ccf(runs).validate().unwrap_err();
+            assert!(err.contains("`runs`") && err.contains(&runs.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 
 use std::collections::VecDeque;
 
-use safedm_soc::CoreProbe;
+use safedm_soc::{CoreProbe, WRITE_PORTS};
 
 fn digest(probe: &CoreProbe) -> u64 {
     let mut d = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    for w in &probe.writes {
+    for w in (0..WRITE_PORTS).map(|i| probe.write_port(i)) {
         if w.enable {
             d ^= w.value;
             d = d.wrapping_mul(0x1000_0000_01b3);
@@ -36,13 +36,12 @@ fn digest(probe: &CoreProbe) -> u64 {
 ///
 /// ```
 /// use safedm_core::DclsComparator;
-/// use safedm_soc::CoreProbe;
+/// use safedm_soc::{CoreProbe, PortSample};
 ///
 /// let mut cmp = DclsComparator::new(64);
 /// let mut p = CoreProbe::default();
 /// p.committed = 1;
-/// p.writes[0].enable = true;
-/// p.writes[0].value = 42;
+/// p.set_write_port(0, PortSample { enable: true, value: 42 });
 /// cmp.observe(&p, &p);
 /// assert!(!cmp.mismatch());
 /// ```
@@ -132,7 +131,7 @@ mod tests {
 
     fn commit(v: u64) -> CoreProbe {
         let mut p = CoreProbe { committed: 1, ..CoreProbe::default() };
-        p.writes[0] = PortSample { enable: true, value: v };
+        p.set_write_port(0, PortSample { enable: true, value: v });
         p
     }
 
@@ -190,7 +189,7 @@ mod tests {
     #[test]
     fn commit_count_differences_affect_digest() {
         let mut a = CoreProbe { committed: 2, ..CoreProbe::default() };
-        a.writes[0] = PortSample { enable: true, value: 7 };
+        a.set_write_port(0, PortSample { enable: true, value: 7 });
         let mut b = a;
         b.committed = 1;
         let mut c = DclsComparator::new(8);

@@ -9,6 +9,7 @@
 
 use safedm_soc::CoreProbe;
 
+use crate::signature::words_equal;
 use crate::{
     DataSignature, EpisodeTracker, Histogram, InstructionDiff, InstructionSignature, ReportMode,
     SafeDmConfig,
@@ -94,6 +95,10 @@ pub struct SafeDm {
     enabled: bool,
     ds: [DataSignature; 2],
     is: [InstructionSignature; 2],
+    /// How many of the newest rows are equal in both DS windows, compared
+    /// pairwise by age and capped at the depth: the DS verdict is
+    /// `ds_run == depth`.
+    ds_run: usize,
     /// `(ds_match, is_match)` of the signatures as they stand.
     matches: (bool, bool),
     diff: InstructionDiff,
@@ -121,6 +126,7 @@ impl SafeDm {
             ds: [DataSignature::new(&cfg), DataSignature::new(&cfg)],
             is: [InstructionSignature::new(&cfg), InstructionSignature::new(&cfg)],
             // Two power-on signatures are equal.
+            ds_run: cfg.data_fifo_depth,
             matches: (true, true),
             diff: InstructionDiff::new(),
             counters: DiversityCounters::default(),
@@ -147,13 +153,15 @@ impl SafeDm {
     /// after stepping the cores.
     pub fn observe(&mut self, p0: &CoreProbe, p1: &CoreProbe) -> CycleReport {
         if !self.enabled || self.finished {
-            self.last = CycleReport::default();
-            return self.last;
+            let report = CycleReport::default();
+            self.last = report;
+            return report;
         }
         if self.cfg.stop_when_halted && (p0.halted || p1.halted) {
             self.finish();
-            self.last = CycleReport::default();
-            return self.last;
+            let report = CycleReport::default();
+            self.last = report;
+            return report;
         }
 
         // Both signatures are clock-gated by the hold signal, so on a joint
@@ -163,7 +171,24 @@ impl SafeDm {
             self.ds[1].capture(p1);
             self.is[0].capture(p0);
             self.is[1].capture(p1);
-            self.matches = (self.ds[0] == self.ds[1], self.is[0] == self.is[1]);
+            let depth = self.cfg.data_fifo_depth;
+            self.ds_run = if !p0.hold && !p1.hold {
+                // Both windows aged by one row: one row compare.
+                if words_equal(&p0.ports, &p1.ports) {
+                    (self.ds_run + 1).min(depth)
+                } else {
+                    0
+                }
+            } else {
+                // One window moved against the other: realign.
+                self.ds[0].equal_newest_rows(&self.ds[1])
+            };
+            self.matches = (self.ds_run == depth, self.is[0].same_slots(&self.is[1]));
+            debug_assert_eq!(
+                self.matches,
+                (self.ds[0] == self.ds[1], self.is[0] == self.is[1]),
+                "incremental verdicts against the full windows"
+            );
             if let Some(h) = self.hamming.as_mut() {
                 h.last = (self.ds[0].hamming(&self.ds[1]), self.is[0].hamming(&self.is[1]));
             }
@@ -201,14 +226,17 @@ impl SafeDm {
             ReportMode::Polling => {}
         }
 
-        self.last = CycleReport {
+        // Returned from the local, not reloaded from `self.last`, whose
+        // fields were just stored one by one.
+        let report = CycleReport {
             ds_match,
             is_match,
             no_diversity,
             zero_stagger: stagger == 0,
             observed: true,
         };
-        self.last
+        self.last = report;
+        report
     }
 
     /// Stops monitoring and flushes open histogram episodes. Idempotent;
@@ -329,7 +357,7 @@ mod tests {
 
     fn probe(v: u64, raw: u32) -> CoreProbe {
         let mut p = CoreProbe::default();
-        p.reads[0] = PortSample { enable: true, value: v };
+        p.set_read_port(0, PortSample { enable: true, value: v });
         p.stages[3][0] = StageSlot { valid: true, raw };
         p
     }

@@ -4,9 +4,11 @@
 //! architectural state into an [`ApbRegisterFile`] whenever it can be
 //! read — in every cycle an APB read is pending or on the bus, and when a
 //! run ends — so guest programs poll exactly what a per-cycle mirror would
-//! show, and applies guest-written control registers back to the monitor
-//! every cycle. Everything outside the APB logic is bus-agnostic, as the
-//! paper requires.
+//! show, and applies the control registers back to the monitor in every
+//! cycle after they may have been written, so the monitor always shows
+//! what a per-cycle application would give (see
+//! [`MonitoredSoc`](crate::MonitoredSoc)). Everything outside the APB logic
+//! is bus-agnostic, as the paper requires.
 
 use safedm_soc::ApbRegisterFile;
 
@@ -106,9 +108,9 @@ pub fn enabled_ctrl(mode: ReportMode) -> u64 {
 
 /// Power-on register values for a monitor configured with `mode`: CTRL
 /// enabled in that mode and, for [`ReportMode::InterruptThreshold`], its
-/// count in THRESHOLD. [`apply_commands`] reloads the mode from these
-/// registers every cycle, so a bank left at zero would override the
-/// configured mode on the first cycle.
+/// count in THRESHOLD. A system applies its banks with [`apply_commands`]
+/// on its first step, so a bank left at zero would override the configured
+/// mode on the first cycle.
 pub fn power_on(rf: &mut ApbRegisterFile, mode: ReportMode) {
     rf.set_reg(regmap::CTRL, enabled_ctrl(mode));
     if let ReportMode::InterruptThreshold(k) = mode {

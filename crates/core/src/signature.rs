@@ -1,6 +1,6 @@
 //! Data and Instruction Signature generators (paper, Section III-B, Fig. 2).
 
-use safedm_soc::{CoreProbe, PIPE_STAGES, PIPE_WIDTH, READ_PORTS, WRITE_PORTS};
+use safedm_soc::{CoreProbe, PIPE_STAGES, PIPE_WIDTH, PORT_WORDS, READ_PORTS, WRITE_PORTS};
 
 use crate::{HoldFifo, IsLayout, SafeDmConfig};
 
@@ -16,9 +16,10 @@ pub type DataSample = (bool, u64);
 /// bit-identical (paper, Section III-B1).
 ///
 /// All ports share the core's hold gate, so their FIFOs shift together and
-/// are stored as one FIFO of cycle rows: the `DATA_PORTS` port values
-/// (read ports, then write ports) and one word of enable bits, bit *i* for
-/// port *i*.
+/// are stored as one FIFO of cycle rows: the probe's port row
+/// ([`CoreProbe::ports`]), that is the `DATA_PORTS` port values (read
+/// ports, then write ports) and one word of enable bits, bit *i* for port
+/// *i*.
 ///
 /// # Examples
 ///
@@ -36,28 +37,31 @@ pub type DataSample = (bool, u64);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataSignature {
-    rows: HoldFifo<[u64; DATA_PORTS + 1]>,
+    rows: HoldFifo<[u64; PORT_WORDS]>,
 }
 
 impl DataSignature {
     /// Creates the signature generator for `cfg`.
     #[must_use]
     pub fn new(cfg: &SafeDmConfig) -> DataSignature {
-        DataSignature { rows: HoldFifo::new(cfg.data_fifo_depth, [0; DATA_PORTS + 1]) }
+        DataSignature { rows: HoldFifo::new(cfg.data_fifo_depth, [0; PORT_WORDS]) }
     }
 
     /// Captures one cycle of register-port activity. When the probe reports
     /// `hold`, the FIFOs are clock-gated and keep their contents.
     pub fn capture(&mut self, probe: &CoreProbe) {
-        if probe.hold {
-            return;
+        if !probe.hold {
+            self.rows.shift(probe.ports);
         }
-        let mut row = [0; DATA_PORTS + 1];
-        for (i, port) in probe.reads.iter().chain(&probe.writes).enumerate() {
-            row[i] = port.value;
-            row[DATA_PORTS] |= u64::from(port.enable) << i;
-        }
-        self.rows.shift(row);
+    }
+
+    /// How many of the newest rows are equal in both windows, compared
+    /// newest first and pairwise by age: the depth exactly when the
+    /// signatures are equal.
+    #[must_use]
+    pub(crate) fn equal_newest_rows(&self, other: &DataSignature) -> usize {
+        let (a, b) = (self.rows.entries(), other.rows.entries());
+        a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| words_equal(x, y)).count()
     }
 
     /// The concatenated signature, port-major, oldest sample first — the DS
@@ -91,8 +95,15 @@ impl DataSignature {
 
     /// Resets all FIFOs to the power-on state.
     pub fn reset(&mut self) {
-        self.rows.reset([0; DATA_PORTS + 1]);
+        self.rows.reset([0; PORT_WORDS]);
     }
+}
+
+/// Whether two word arrays are equal: an XOR-OR fold, which compiles to
+/// straight-line code instead of a library compare.
+#[inline]
+pub(crate) fn words_equal<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x ^ y)) == 0
 }
 
 /// Number of instruction slots in the pipeline.
@@ -166,6 +177,13 @@ impl InstructionSignature {
         self.slots.iter().zip(&other.slots).map(|(a, b)| (a ^ b).count_ones()).sum()
     }
 
+    /// Whether both signatures hold the same slot words (the monitor's
+    /// per-cycle IS verdict; both sides share one layout).
+    #[must_use]
+    pub(crate) fn same_slots(&self, other: &InstructionSignature) -> bool {
+        words_equal(&self.slots, &other.slots)
+    }
+
     /// Resets to the power-on state.
     pub fn reset(&mut self) {
         self.slots = [0; IS_SLOTS];
@@ -179,7 +197,7 @@ mod tests {
 
     fn probe_with_read(v: u64) -> CoreProbe {
         let mut p = CoreProbe::default();
-        p.reads[0] = PortSample { enable: true, value: v };
+        p.set_read_port(0, PortSample { enable: true, value: v });
         p
     }
 
@@ -228,7 +246,7 @@ mod tests {
         let mut a = DataSignature::new(&cfg);
         let mut b = DataSignature::new(&cfg);
         let mut pa = CoreProbe::default();
-        pa.reads[0] = PortSample { enable: true, value: 0 };
+        pa.set_read_port(0, PortSample { enable: true, value: 0 });
         let pb = CoreProbe::default(); // port idle, value 0
         a.capture(&pa);
         b.capture(&pb);

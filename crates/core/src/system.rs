@@ -65,6 +65,9 @@ struct Pair {
     cores: (usize, usize),
     dm: SafeDm,
     apb_index: usize,
+    /// The bank's guest write count when its commands were last applied;
+    /// `None` once a host path may have changed the bank or the monitor.
+    applied_writes: Option<u64>,
 }
 
 /// The MPSoC with one SafeDM instance per redundant core pair, each
@@ -74,6 +77,19 @@ struct Pair {
 /// and [`monitor`](MonitoredSoc::monitor), [`apb_bank`](MonitoredSoc::apb_bank)
 /// and [`write_ctrl`](MonitoredSoc::write_ctrl) address it;
 /// [`MonitoredSoc::pair`] reads any pair.
+///
+/// After every [`step`](MonitoredSoc::step), each monitor's enable flag,
+/// report mode and IRQ equal what applying its bank's CTRL and THRESHOLD
+/// ([`regs::apply_commands`]) gives. A step re-applies a bank only when
+/// that could change something: when a guest wrote the bank since the last
+/// application, or when a host path may have changed the bank or the
+/// monitor (construction, [`load_program`](MonitoredSoc::load_program),
+/// [`write_ctrl`](MonitoredSoc::write_ctrl),
+/// [`write_threshold`](MonitoredSoc::write_threshold),
+/// [`monitor_mut`](MonitoredSoc::monitor_mut),
+/// [`soc_mut`](MonitoredSoc::soc_mut)). So a host
+/// `monitor_mut().set_enabled(..)` that contradicts CTRL is reverted by the
+/// next step, as it would be by a per-cycle application.
 ///
 /// # Examples
 ///
@@ -166,7 +182,12 @@ impl MonitoredSoc {
             let mut bank = ApbRegisterFile::new(base, regmap::REG_COUNT);
             regs::power_on(&mut bank, dm_cfg.report_mode);
             let apb_index = soc.uncore_mut().add_apb_slave(bank);
-            slots.push(Pair { cores: (a, b), dm: SafeDm::new(dm_cfg), apb_index });
+            slots.push(Pair {
+                cores: (a, b),
+                dm: SafeDm::new(dm_cfg),
+                apb_index,
+                applied_writes: None,
+            });
         }
         MonitoredSoc { soc, pairs: slots, safede: None }
     }
@@ -188,14 +209,16 @@ impl MonitoredSoc {
         self.soc.load_program(prog);
         for p in &mut self.pairs {
             p.dm.reset();
+            p.applied_writes = None;
         }
     }
 
     /// One cycle: SoC, then SafeDE (if attached), then per pair the APB
-    /// command application and the SafeDM observation — so a control write
-    /// (guest or host) takes effect before the cycle is judged — and, while
-    /// an APB read is pending or on the bus, the APB mirror. Returns pair
-    /// 0's verdict; the others are in [`SafeDm::last_report`].
+    /// command application (when the bank may have changed, see the type's
+    /// docs) and the SafeDM observation — so a control write (guest or
+    /// host) takes effect before the cycle is judged — and, while an APB
+    /// read is pending or on the bus, the APB mirror. Returns pair 0's
+    /// verdict; the others are in [`SafeDm::last_report`].
     ///
     /// A guest read completes at the start of a cycle and sees the mirror
     /// taken at the end of the cycle before, so it reads exactly what a
@@ -221,14 +244,28 @@ impl MonitoredSoc {
             de.control(&mut self.soc);
         }
         let readable = self.soc.uncore().apb_read_in_flight();
-        for p in &mut self.pairs {
-            regs::apply_commands(&mut p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
-            p.dm.observe(self.soc.probe(p.cores.0), self.soc.probe(p.cores.1));
-            if readable {
-                regs::mirror(&p.dm, self.soc.uncore_mut().apb_slave_mut(p.apb_index));
-            }
+        let (first, rest) = self.pairs.split_first_mut().expect("at least one pair");
+        let report = Self::judge(&mut self.soc, first, readable);
+        for p in rest {
+            Self::judge(&mut self.soc, p, readable);
         }
-        self.pairs[0].dm.last_report()
+        report
+    }
+
+    /// One pair's share of [`post_step`](Self::post_step): apply its bank
+    /// if it may have changed, observe, and mirror while `readable`.
+    fn judge(soc: &mut MpSoc, p: &mut Pair, readable: bool) -> CycleReport {
+        let bank = soc.uncore_mut().apb_slave_mut(p.apb_index);
+        let writes = bank.write_count();
+        if p.applied_writes != Some(writes) {
+            regs::apply_commands(&mut p.dm, bank);
+            p.applied_writes = Some(writes);
+        }
+        let report = p.dm.observe(soc.probe(p.cores.0), soc.probe(p.cores.1));
+        if readable {
+            regs::mirror(&p.dm, soc.uncore_mut().apb_slave_mut(p.apb_index));
+        }
+        report
     }
 
     /// Runs until every core halts and its store buffer drains, or
@@ -284,8 +321,12 @@ impl MonitoredSoc {
         &self.soc
     }
 
-    /// Mutable SoC access (fault injection, manual stepping setup).
+    /// Mutable SoC access (fault injection, manual stepping setup). The
+    /// next step re-applies every bank, which this access could change.
     pub fn soc_mut(&mut self) -> &mut MpSoc {
+        for p in &mut self.pairs {
+            p.applied_writes = None;
+        }
         &mut self.soc
     }
 
@@ -315,9 +356,12 @@ impl MonitoredSoc {
         &self.pairs[0].dm
     }
 
-    /// Mutable access to pair 0's monitor (mode programming from the host
-    /// side).
+    /// Mutable access to pair 0's monitor (host-side presets such as
+    /// [`SafeDm::preset_diff`]). Its enable flag, report mode and IRQ
+    /// follow pair 0's bank again from the next step on (see the type's
+    /// docs); program those through [`write_ctrl`](Self::write_ctrl).
     pub fn monitor_mut(&mut self) -> &mut SafeDm {
+        self.pairs[0].applied_writes = None;
         &mut self.pairs[0].dm
     }
 
@@ -348,6 +392,7 @@ impl MonitoredSoc {
 
     fn write_reg(&mut self, reg: usize, value: u64) {
         self.soc.uncore_mut().apb_slave_mut(self.pairs[0].apb_index).set_reg(reg, value);
+        self.pairs[0].applied_writes = None;
     }
 }
 

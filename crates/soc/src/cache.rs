@@ -31,6 +31,10 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct TagCache {
     cfg: CacheConfig,
+    /// `log2(line_bytes)` and `log2(sets)`: a key's set and tag are shifts
+    /// of it.
+    line_shift: u32,
+    set_shift: u32,
     ways: Vec<Way>, // sets * ways, row-major by set
     tick: u64,
     hits: u64,
@@ -39,10 +43,18 @@ pub struct TagCache {
 
 impl TagCache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sets` and `line_bytes` are powers of two.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> TagCache {
+        assert!(cfg.sets.is_power_of_two(), "cache sets must be a power of two");
+        assert!(cfg.line_bytes.is_power_of_two(), "cache line size must be a power of two");
         TagCache {
             cfg,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: cfg.sets.trailing_zeros(),
             ways: vec![Way::default(); cfg.sets * cfg.ways],
             tick: 0,
             hits: 0,
@@ -51,11 +63,11 @@ impl TagCache {
     }
 
     fn set_of(&self, key: u64) -> usize {
-        ((key / self.cfg.line_bytes) as usize) & (self.cfg.sets - 1)
+        ((key >> self.line_shift) as usize) & (self.cfg.sets - 1)
     }
 
     fn tag_of(&self, key: u64) -> u64 {
-        key / self.cfg.line_bytes / self.cfg.sets as u64
+        key >> (self.line_shift + self.set_shift)
     }
 
     fn set_slice(&mut self, set: usize) -> &mut [Way] {
@@ -97,8 +109,7 @@ impl TagCache {
         let tick = self.tick;
         let set = self.set_of(key);
         let tag = self.tag_of(key);
-        let line_bytes = self.cfg.line_bytes;
-        let sets = self.cfg.sets as u64;
+        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
         if let Some(way) = self.set_slice(set).iter_mut().find(|w| w.valid && w.tag == tag) {
             way.stamp = tick;
             return None;
@@ -108,7 +119,7 @@ impl TagCache {
             .iter_mut()
             .min_by_key(|w| if w.valid { w.stamp } else { 0 })
             .expect("cache has at least one way");
-        let evicted = victim.valid.then(|| (victim.tag * sets + set as u64) * line_bytes);
+        let evicted = victim.valid.then(|| (victim.tag << set_shift | set as u64) << line_shift);
         victim.tag = tag;
         victim.valid = true;
         victim.stamp = tick;
@@ -199,6 +210,12 @@ mod tests {
         c.fill(0x40);
         c.invalidate_all();
         assert!(!c.peek(0x40));
+    }
+
+    #[test]
+    #[should_panic(expected = "sets must be a power of two")]
+    fn non_power_of_two_sets_panic() {
+        let _ = TagCache::new(CacheConfig { sets: 3, ways: 1, line_bytes: 32 });
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use mpsoc::{MpSoc, RunResult};
 pub use obs::SocMetrics;
 pub use pipeline::{CommitRecord, Core, CoreStats};
 pub use probe::{
-    CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH, READ_PORTS, WRITE_PORTS,
+    CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH, PORT_WORDS, READ_PORTS, WRITE_PORTS,
 };
 pub use regfile::RegFile;
 pub use storebuf::{SbEntry, SbForward, StoreBuffer, MAX_LINE};

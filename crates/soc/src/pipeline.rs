@@ -26,7 +26,7 @@ use safedm_isa::{
 };
 
 use crate::iss::Text;
-use crate::probe::{CoreProbe, StageSlot, PIPE_STAGES, PIPE_WIDTH};
+use crate::probe::{CoreProbe, StageSlot, PIPE_STAGES, PIPE_WIDTH, READ_PORTS};
 use crate::{
     BusOp, BusResult, BusUnit, CoreExit, MemSpace, PortId, RegFile, SbForward, SocConfig,
     StoreBuffer, TagCache, TrapCause, Uncore,
@@ -312,12 +312,12 @@ impl Core {
     /// Architectural register peek.
     #[must_use]
     pub fn reg(&self, r: Reg) -> u64 {
-        self.regs.peek(r)
+        self.regs.read(r)
     }
 
     /// Architectural register poke (test setup, fault injection).
     pub fn set_reg(&mut self, r: Reg, v: u64) {
-        self.regs.poke(r, v);
+        self.regs.write(r, v);
     }
 
     /// Flips one bit of an architectural register (fault injection).
@@ -490,7 +490,7 @@ impl Core {
         if self.halted() {
             // Keep draining the store buffer so memory reaches a consistent
             // final state for result checking.
-            self.regs.begin_cycle();
+            self.probe.idle_ports();
             self.sb.tick();
             self.service_store_port(uncore, true);
             // A stray ifetch completion is still collected so the port frees.
@@ -505,7 +505,7 @@ impl Core {
 
         self.csrs.mcycle += 1;
         self.stats.cycles += 1;
-        self.regs.begin_cycle();
+        self.probe.idle_ports();
         self.entered = 0;
 
         self.sb.tick();
@@ -657,7 +657,9 @@ impl Core {
                 });
             }
             if let Some(rd) = inst.rd() {
-                self.regs.write(i, rd, result.expect("committing instruction has result"));
+                let v = result.expect("committing instruction has result");
+                self.probe.drive_port(READ_PORTS + i, v);
+                self.regs.write(rd, v);
                 let producer = &mut self.producer[usize::from(rd.index())];
                 if *producer == Some((g, i as u8)) {
                     *producer = None;
@@ -665,7 +667,7 @@ impl Core {
             } else if let Some(v) = result {
                 if !matches!(inst, Inst::Branch { .. } | Inst::Store { .. }) {
                     // x0-destination writes still drive the port lines.
-                    self.regs.write(i, Reg::ZERO, v);
+                    self.probe.drive_port(READ_PORTS + i, v);
                 }
             }
             if let Some((csr, v)) = csr_write {
@@ -693,13 +695,12 @@ impl Core {
         committed
     }
 
-    /// Sets the probe's per-cycle fields; its stage latches are current.
+    /// Sets the probe's per-cycle fields; its stage latches and port row
+    /// are current.
     fn end_cycle(&mut self, hold: bool, committed: u8) {
         let p = &mut self.probe;
         p.cycle = self.csrs.mcycle;
         p.hold = hold;
-        p.reads = self.regs.read_samples();
-        p.writes = self.regs.write_samples();
         p.committed = committed;
         p.halted = !self.exit.is_running();
     }
@@ -865,7 +866,8 @@ impl Core {
             let mut vals = [0; 2];
             for (k, r) in [inst.rs1(), inst.rs2()].into_iter().enumerate() {
                 if let Some(r) = r {
-                    let v = self.regs.read(2 * i + k, r);
+                    let v = self.regs.read(r);
+                    self.probe.drive_port(2 * i + k, v);
                     vals[k] = self.bypass(r).unwrap_or(v);
                 }
             }
@@ -883,7 +885,7 @@ impl Core {
         }
         match self.bypass_producer(r) {
             Some(slot) => slot.result,
-            None => Some(self.regs.peek(r)),
+            None => Some(self.regs.read(r)),
         }
     }
 
@@ -1186,6 +1188,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{PortSample, PORT_WORDS, WRITE_PORTS};
     use crate::{MpSoc, SocConfig};
     use safedm_asm::Asm;
 
@@ -1282,6 +1285,28 @@ mod tests {
         let any_stale = p.stages.iter().flatten().any(|s| s.raw != 0);
         assert!(any_stale, "stale encodings must persist after squash");
         assert!(p.halted);
+    }
+
+    #[test]
+    fn an_x0_result_drives_its_write_port_and_idle_ports_keep_their_lines() {
+        let mut a = Asm::new();
+        a.li(Reg::T0, 7);
+        a.addi(Reg::ZERO, Reg::T0, 1);
+        a.ebreak();
+        let mut soc = MpSoc::new(SocConfig { cores: 1, ..SocConfig::default() });
+        soc.load_program(&a.link(0x8000_0000).unwrap());
+        let driven = PortSample { enable: true, value: 8 };
+        let mut wrote = false;
+        while !soc.core(0).halted() {
+            soc.step();
+            wrote |= (0..WRITE_PORTS).any(|i| soc.probe(0).write_port(i) == driven);
+        }
+        assert!(wrote, "the x0 destination's value reaches a write port");
+        assert_eq!(soc.core(0).reg(Reg::ZERO), 0);
+        soc.step();
+        let p = soc.probe(0);
+        assert_eq!(p.ports[PORT_WORDS - 1], 0, "a halted core drives no port");
+        assert!((0..WRITE_PORTS).any(|i| p.write_port(i).value == 8), "idle lines keep values");
     }
 
     #[test]

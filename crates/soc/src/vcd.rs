@@ -243,16 +243,13 @@ impl ProbeVcd {
                     v += 1;
                 }
             }
-            for p in 0..READ_PORTS {
-                diff1(&mut changes, v, probe.reads[p].enable, last.map(|l| l.reads[p].enable));
+            let reads = (0..READ_PORTS).map(|p| (probe.read_port(p), last.map(|l| l.read_port(p))));
+            let writes =
+                (0..WRITE_PORTS).map(|p| (probe.write_port(p), last.map(|l| l.write_port(p))));
+            for (now, before) in reads.chain(writes) {
+                diff1(&mut changes, v, now.enable, before.map(|b| b.enable));
                 v += 1;
-                diffv(&mut changes, v, probe.reads[p].value, last.map(|l| l.reads[p].value), 64);
-                v += 1;
-            }
-            for p in 0..WRITE_PORTS {
-                diff1(&mut changes, v, probe.writes[p].enable, last.map(|l| l.writes[p].enable));
-                v += 1;
-                diffv(&mut changes, v, probe.writes[p].value, last.map(|l| l.writes[p].value), 64);
+                diffv(&mut changes, v, now.value, before.map(|b| b.value), 64);
                 v += 1;
             }
             self.last_probe[core] = Some(**probe);

@@ -430,6 +430,11 @@ fn run_analyze_pair(args: &[String], levels: &LintLevels) -> Result<(), String> 
     Ok(())
 }
 
+/// `--stagger N`, bounded by [`args::check_stagger`].
+fn stagger_arg(args: &[String]) -> Result<Option<u64>, String> {
+    args::opt_u64(args, "--stagger")?.map(|nops| args::check_stagger("--stagger", nops)).transpose()
+}
+
 /// The `analyze` subcommand: prove a program (every DIV finding comes from
 /// the prover), print the rustc-style report, feed the findings through
 /// [`lint_outputs`], and with `--gate` run the program under the monitor
@@ -438,7 +443,7 @@ fn run_analyze_pair(args: &[String], levels: &LintLevels) -> Result<(), String> 
 /// diversity twin.
 fn run_analyze(args: &[String]) -> Result<(), String> {
     let base = args::u64_or(args, "--base", 0x8000_0000)?;
-    let stagger_nops = args::opt_u64(args, "--stagger")?;
+    let stagger_nops = stagger_arg(args)?;
     let max_cycles = args::u64_or(args, "--max-cycles", 500_000_000)?;
     let levels = lint_levels(args)?;
     let gate = args::flag(args, "--gate");
@@ -843,8 +848,8 @@ fn run() -> Result<(), String> {
 
     let base = args::u64_or(&args, "--base", 0x8000_0000)?;
     let delayed_core = args::u64_or(&args, "--delayed-core", 1)? as usize;
-    let stagger = args::opt_u64(&args, "--stagger")?
-        .map(|nops| StaggerConfig { nops: nops as usize, delayed_core });
+    let stagger =
+        stagger_arg(&args)?.map(|nops| StaggerConfig { nops: nops as usize, delayed_core });
     let max_cycles = args::u64_or(&args, "--max-cycles", 500_000_000)?;
     let engine = args::value(&args, "--engine").map_or(Ok(Engine::Cycle), |v| Engine::parse(&v))?;
 

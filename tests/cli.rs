@@ -2,7 +2,7 @@
 //! kernel run and of `campaign`, which reads the retired `hybrid` name as
 //! the cycle engine, the `campaign --events-out` → `report` pipeline, the
 //! `analyze` sweep and `--gate` check, switches before a positional path,
-//! and a stdout closed early.
+//! the `--stagger` limit, and a stdout closed early.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -19,6 +19,27 @@ fn tmp(name: &str) -> PathBuf {
 fn checked(out: Output, what: &str) -> String {
     assert!(out.status.success(), "{what} failed: {}", String::from_utf8_lossy(&out.stderr));
     String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn a_stagger_above_the_limit_is_an_error_not_a_panic() {
+    // 300,000 nops is beyond the harness's jump over the sled; one nop
+    // above the limit is the first value refused.
+    let limit = safedm::campaign::spec::MAX_STAGGER;
+    for (cmd, nops) in [(&["analyze"][..], 300_000), (&[][..], 300_000), (&[][..], limit + 1)] {
+        let out = sim()
+            .args(cmd)
+            .args(["--kernel", "fac", "--stagger", &nops.to_string()])
+            .output()
+            .expect("run safedm-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd:?} {nops}: {stderr}");
+        assert!(
+            stderr.contains("--stagger") && stderr.contains(&format!("limit of {limit}")),
+            "{cmd:?} {nops}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd:?} {nops}: {stderr}");
+    }
 }
 
 #[test]

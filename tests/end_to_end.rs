@@ -239,6 +239,80 @@ fn guest_can_reprogram_the_monitor_over_apb() {
 }
 
 #[test]
+fn monitor_state_always_equals_its_applied_bank() {
+    // A guest disables the monitor over APB, re-enables it in threshold
+    // mode with THRESHOLD, then selects polling and clears the IRQ through
+    // CTRL's write-1-to-clear bit, while the host writes CTRL and overrides
+    // the enable flag between steps. After every step the monitor's enable
+    // flag, report mode and IRQ equal what applying its bank gives.
+    use safedm::asm::Asm;
+    use safedm::isa::Reg;
+    use safedm::monitor::regs::{self, enabled_ctrl};
+    const THRESHOLD: u64 = 40;
+    let reg_addr = |reg: usize| 0xfc00_0000u32 as i64 + reg as i64 * 8;
+    let mut a = Asm::new();
+    let spin = |a: &mut Asm, label: &str, iters: i64| {
+        a.li(Reg::T0, iters);
+        let top = a.here(label);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, top);
+    };
+    let store = |a: &mut Asm, reg: usize, value: u64| {
+        a.li(Reg::T1, reg_addr(reg));
+        a.li(Reg::T2, value as i64);
+        a.sd(Reg::T2, 0, Reg::T1);
+        a.fence();
+    };
+    spin(&mut a, "warm", 60);
+    store(&mut a, regmap::CTRL, 0);
+    spin(&mut a, "off", 60);
+    store(&mut a, regmap::THRESHOLD, THRESHOLD);
+    store(&mut a, regmap::CTRL, enabled_ctrl(ReportMode::InterruptThreshold(THRESHOLD)));
+    spin(&mut a, "threshold", 60);
+    store(&mut a, regmap::CTRL, enabled_ctrl(ReportMode::Polling) | 0b1000);
+    spin(&mut a, "polling", 60);
+    a.ebreak();
+    let prog = a.link(0x8000_0000).unwrap();
+
+    let mut sys = MonitoredSoc::new(SocConfig::default(), polling_cfg());
+    sys.load_program(&prog);
+    let (mut disabled, mut threshold, mut irq_raised, mut irq_cleared) = (0, 0, 0, 0);
+    let mut irq_before = false;
+    for step in 0..100_000u64 {
+        match step {
+            20 => sys.monitor_mut().set_enabled(false),
+            40 => sys.write_ctrl(enabled_ctrl(ReportMode::InterruptFirst)),
+            80 => sys.monitor_mut().set_enabled(false),
+            _ => {}
+        }
+        sys.step();
+        let dm = sys.monitor();
+        let (mut applied, mut bank) = (dm.clone(), sys.apb_bank().clone());
+        regs::apply_commands(&mut applied, &mut bank);
+        assert_eq!(dm.enabled(), applied.enabled(), "enable flag after step {step}");
+        assert_eq!(dm.config().report_mode, applied.config().report_mode, "mode, step {step}");
+        assert_eq!(dm.irq_pending(), applied.irq_pending(), "IRQ after step {step}");
+        disabled += u64::from(!dm.enabled());
+        threshold +=
+            u64::from(dm.config().report_mode == ReportMode::InterruptThreshold(THRESHOLD));
+        irq_raised += u64::from(!irq_before && dm.irq_pending());
+        irq_cleared += u64::from(irq_before && !dm.irq_pending());
+        irq_before = dm.irq_pending();
+        let soc = sys.soc();
+        if soc.all_halted() && (0..2).all(|c| soc.core(c).store_buffer_len() == 0) {
+            break;
+        }
+    }
+    assert!(sys.soc().all_halted(), "the program ran to its end");
+    assert!(disabled > 0, "the guest's CTRL write disabled the monitor");
+    assert!(threshold > 0, "the guest selected threshold mode");
+    assert!(irq_raised > 0 && irq_cleared > 0, "raised {irq_raised}, cleared {irq_cleared}");
+    assert!(sys.monitor().enabled());
+    assert_eq!(sys.monitor().config().report_mode, ReportMode::Polling);
+    assert!(!sys.monitor().irq_pending(), "the write-1-to-clear bit cleared the IRQ");
+}
+
+#[test]
 fn four_core_soc_still_monitors_first_pair() {
     let cfg = SocConfig { cores: 4, ..SocConfig::default() };
     let k = kernels::by_name("fac").expect("kernel");

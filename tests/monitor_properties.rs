@@ -8,7 +8,9 @@ use safedm::campaign::{derive_cell_seed, ConfigGrid};
 use safedm::monitor::{
     CycleReport, DiversityCounters, HammingStats, IsLayout, SafeDm, SafeDmConfig, DATA_PORTS,
 };
-use safedm::soc::{CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH, READ_PORTS};
+use safedm::soc::{
+    CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH, READ_PORTS, WRITE_PORTS,
+};
 
 #[derive(Debug, Clone)]
 struct ProbeStep {
@@ -41,8 +43,8 @@ fn apply(prev: &CoreProbe, step: &ProbeStep) -> CoreProbe {
     p.hold = step.hold;
     p.committed = step.committed;
     if !step.hold {
-        for (i, (en, v)) in step.reads.iter().enumerate() {
-            p.reads[i] = PortSample { enable: *en, value: *v };
+        for (i, &(enable, value)) in step.reads.iter().enumerate() {
+            p.set_read_port(i, PortSample { enable, value });
         }
         for (s, w, valid, raw) in &step.stage_raws {
             p.stages[*s][*w] = StageSlot { valid: *valid, raw: *raw };
@@ -128,9 +130,9 @@ proptest! {
         let mut dm = SafeDm::new(cfg);
         // one divergent cycle (port value differs)
         let mut pa = CoreProbe::default();
-        pa.reads[0] = PortSample { enable: true, value: 1 };
+        pa.set_read_port(0, PortSample { enable: true, value: 1 });
         let mut pb = pa;
-        pb.reads[0].value = 2;
+        pb.set_read_port(0, PortSample { enable: true, value: 2 });
         dm.observe(&pa, &pb);
         // identical (non-hold) traffic afterwards
         let mut probe = CoreProbe::default();
@@ -149,7 +151,9 @@ proptest! {
 }
 
 /// A naive SafeDM: one `VecDeque` FIFO per port and a plain slot list per
-/// core, recompared in full every cycle.
+/// core, recompared in full every cycle. It reads the probe's ports only
+/// through `read_port`/`write_port`, so it does not share the monitor's
+/// row layout.
 struct ReferenceMonitor {
     layout: IsLayout,
     ds: [Vec<VecDeque<(bool, u64)>>; 2],
@@ -194,7 +198,10 @@ impl ReferenceMonitor {
             if p.hold {
                 continue;
             }
-            for (fifo, port) in self.ds[c].iter_mut().zip(p.reads.iter().chain(&p.writes)) {
+            let ports = (0..READ_PORTS)
+                .map(|i| p.read_port(i))
+                .chain((0..WRITE_PORTS).map(|i| p.write_port(i)));
+            for (fifo, port) in self.ds[c].iter_mut().zip(ports) {
                 fifo.pop_front();
                 fifo.push_back((port.enable, port.value));
             }
@@ -234,9 +241,11 @@ impl ReferenceMonitor {
 }
 
 /// One cycle of a redundant pair: a sample both cores share, an optional
-/// one-core deviation, a hold flag both cores share plus one each.
+/// one-core deviation, a hold flag both cores share plus one each, and
+/// whether the monitor is reset before the cycle.
 #[derive(Debug, Clone)]
 struct PairStep {
+    reset: bool,
     joint_hold: bool,
     own_hold: [bool; 2],
     ports: Vec<(bool, u64)>,
@@ -251,23 +260,26 @@ fn any_pair_step() -> impl Strategy<Value = PairStep> {
     // Small value domains make equal signatures, and so matches, common.
     let deviation = (0usize..2, 0..DATA_PORTS + PIPE_STAGES * PIPE_WIDTH, 0u64..4);
     (
-        proptest::bool::weighted(0.5),
+        (proptest::bool::weighted(0.03), proptest::bool::weighted(0.5)),
         (proptest::bool::weighted(0.15), proptest::bool::weighted(0.15)),
         proptest::collection::vec((any::<bool>(), 0u64..3), DATA_PORTS),
         proptest::collection::vec((any::<bool>(), 0u32..3), PIPE_STAGES * PIPE_WIDTH),
         (proptest::bool::weighted(0.2), deviation),
         (0u8..=2, 0u8..=2),
     )
-        .prop_map(|(joint_hold, (h0, h1), ports, slots, (deviate, deviation), (c0, c1))| {
-            PairStep {
-                joint_hold,
-                own_hold: [h0, h1],
-                ports,
-                slots,
-                deviation: deviate.then_some(deviation),
-                committed: [c0, c1],
-            }
-        })
+        .prop_map(
+            |((reset, joint_hold), (h0, h1), ports, slots, (deviate, deviation), (c0, c1))| {
+                PairStep {
+                    reset,
+                    joint_hold,
+                    own_hold: [h0, h1],
+                    ports,
+                    slots,
+                    deviation: deviate.then_some(deviation),
+                    committed: [c0, c1],
+                }
+            },
+        )
 }
 
 /// Core `core`'s probe for `step`. A held core still drives its wires; the
@@ -278,26 +290,25 @@ fn pair_probe(step: &PairStep, core: usize) -> CoreProbe {
         committed: step.committed[core],
         ..CoreProbe::default()
     };
-    for (i, &(enable, value)) in step.ports.iter().enumerate() {
+    let mut ports = step.ports.clone();
+    if let Some((c, field, v)) = step.deviation {
+        if c == core && field < DATA_PORTS {
+            ports[field].1 ^= v + 1;
+        }
+    }
+    for (i, &(enable, value)) in ports.iter().enumerate() {
         let port = PortSample { enable, value };
         if i < READ_PORTS {
-            p.reads[i] = port;
+            p.set_read_port(i, port);
         } else {
-            p.writes[i - READ_PORTS] = port;
+            p.set_write_port(i - READ_PORTS, port);
         }
     }
     for (i, &(valid, raw)) in step.slots.iter().enumerate() {
         p.stages[i / PIPE_WIDTH][i % PIPE_WIDTH] = StageSlot { valid, raw };
     }
     if let Some((c, field, v)) = step.deviation {
-        if c == core && field < DATA_PORTS {
-            let port = if field < READ_PORTS {
-                &mut p.reads[field]
-            } else {
-                &mut p.writes[field - READ_PORTS]
-            };
-            port.value ^= v + 1;
-        } else if c == core {
+        if c == core && field >= DATA_PORTS {
             let i = field - DATA_PORTS;
             let slot = &mut p.stages[i / PIPE_WIDTH][i % PIPE_WIDTH];
             slot.raw ^= v as u32 + 1;
@@ -310,9 +321,10 @@ fn pair_probe(step: &PairStep, core: usize) -> CoreProbe {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `SafeDm` (ring FIFOs, flat signatures, verdict reuse on joint holds)
-    /// agrees with the naive reference on every cycle: report, counters
-    /// and Hamming statistics.
+    /// `SafeDm` (ring FIFOs, flat signatures, an incremental DS verdict,
+    /// verdict reuse on joint holds) agrees with the naive reference on
+    /// every cycle: report, counters and Hamming statistics, also across
+    /// monitor resets.
     #[test]
     fn monitor_matches_naive_reference(
         depth in 1usize..=16,
@@ -328,6 +340,10 @@ proptest! {
         let mut dm = SafeDm::new(cfg);
         let mut reference = ReferenceMonitor::new(&cfg);
         for (cycle, step) in steps.iter().enumerate() {
+            if step.reset {
+                dm.reset();
+                reference = ReferenceMonitor::new(&cfg);
+            }
             let (p0, p1) = (pair_probe(step, 0), pair_probe(step, 1));
             let got = dm.observe(&p0, &p1);
             let want = reference.observe([&p0, &p1]);

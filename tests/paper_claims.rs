@@ -2,7 +2,7 @@
 
 use safedm::monitor::{MonitoredSoc, ReportMode, SafeDm, SafeDmConfig, TraceSample};
 use safedm::power::{estimate_area, estimate_power, Activity};
-use safedm::soc::{CoreProbe, MpSoc, SocConfig};
+use safedm::soc::{CoreProbe, MpSoc, PortSample, SocConfig};
 use safedm::tacle::{build_kernel_program, kernels, HarnessConfig};
 
 /// Section III-A: "SafeDM can only raise false positives, but not false
@@ -12,8 +12,7 @@ fn claim_no_false_negatives_on_identical_state() {
     let mut dm = SafeDm::new(SafeDmConfig::default());
     let mut p = CoreProbe::default();
     for i in 0..200u64 {
-        p.reads[0].enable = true;
-        p.reads[0].value = i.wrapping_mul(0x9e37);
+        p.set_read_port(0, PortSample { enable: true, value: i.wrapping_mul(0x9e37) });
         p.stages[3][0].valid = true;
         p.stages[3][0].raw = (i as u32) << 2 | 0b11;
         let r = dm.observe(&p.clone(), &p);

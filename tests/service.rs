@@ -13,7 +13,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use safedm::campaign::cache::ResultCache;
-use safedm::campaign::spec::{CampaignSpec, CellSpec, Protocol, MAX_CELLS, MAX_STAGGER};
+use safedm::campaign::spec::{
+    CampaignSpec, CellSpec, Protocol, MAX_CCF_TRIALS, MAX_CELLS, MAX_STAGGER,
+};
 use safedm_bench::http::{ServeConfig, Server};
 use safedm_bench::service::{self, RunOptions};
 use safedm_sdk::{Client, SdkError};
@@ -267,11 +269,18 @@ fn oversized_staggers_and_cell_counts_are_client_errors() {
     let addr = spawn_server();
     let client = Client::new(addr).with_deadline(Duration::from_secs(60));
     // Each spec is just above its bound, so a server that accepted it would
-    // assemble one 400 KB sled or enumerate 10,001 cells, not more.
+    // assemble one 400 KB sled, enumerate 10,001 cells or start a cell of
+    // 10,001 fault-injection trials, not more.
     let base = CampaignSpec { kernels: vec!["fac".to_owned()], ..four_cell_spec() };
     let too_far = CampaignSpec { staggers: vec![0, MAX_STAGGER + 1], ..base.clone() };
-    let too_many = CampaignSpec { staggers: vec![0], runs: MAX_CELLS + 1, ..base };
-    for (spec, field) in [(too_far, "`staggers`"), (too_many, "`runs`")] {
+    let too_many = CampaignSpec { staggers: vec![0], runs: MAX_CELLS + 1, ..base.clone() };
+    let too_long = CampaignSpec {
+        protocol: Protocol::Ccf,
+        staggers: vec![],
+        runs: MAX_CCF_TRIALS + 1,
+        ..base
+    };
+    for (spec, field) in [(too_far, "`staggers`"), (too_many, "`runs`"), (too_long, "`runs`")] {
         match client.submit(&spec) {
             Err(SdkError::Http { status: 400, body }) => {
                 assert!(body.contains(field), "the error names {field}: {body}");
